@@ -67,6 +67,7 @@ from .maxstable import (
     StormEvent,
     StormModelParams,
     equivalent_storm_params,
+    husler_reiss_block,
     husler_reiss_field,
     normalize_maxima,
     rescaled_factor,

@@ -40,7 +40,13 @@ from .errors import (
 )
 from .extremal import bivariate_cdf_hr, bivariate_cdf_smith, tail_dependence
 from .gaussfield import SpaceTimeGrid
-from .maxstable import MarginalKind, husler_reiss_field, rescaled_factor, simulate_storm_field
+from .maxstable import (
+    MarginalKind,
+    husler_reiss_block,
+    husler_reiss_field,
+    rescaled_factor,
+    simulate_storm_field,
+)
 
 __all__ = ["main", "cmd_simulate", "cmd_surfaces", "cmd_validate"]
 
@@ -84,6 +90,17 @@ def _hr_values(index, *, model, grid, n, kind, seed, factor):
 
 def _storm_values(index, *, params, grid, seed):
     return simulate_storm_field(params, grid, seed, index).values
+
+
+# Block helpers for ``validate``: the values of realizations start..stop-1,
+# one row each.  They live at module level so that pool tasks can pickle them.
+def _hr_block(bounds, *, factor, n, kind, seed):
+    return husler_reiss_block(factor, n, kind, seed, range(*bounds))
+
+
+def _storm_block(bounds, *, params, grid, seed):
+    return np.array([_storm_values(index, params=params, grid=grid, seed=seed)
+                     for index in range(*bounds)])
 
 
 def _sidecar_base(cfg: RunConfig, command: str) -> dict:
@@ -178,17 +195,12 @@ def cmd_surfaces(cfg: RunConfig) -> int:
     return 0
 
 
-def _joint_counts(bounds, *, make_values, site_pairs, thresholds):
-    start, stop = bounds
-    counts = np.zeros((len(site_pairs), len(thresholds)), dtype=np.int64)
-    for index in range(start, stop):
-        values = make_values(index)
-        for pi, (ia, ib) in enumerate(site_pairs):
-            va, vb = values[ia], values[ib]
-            for ti, (y1, y2) in enumerate(thresholds):
-                if va <= y1 and vb <= y2:
-                    counts[pi, ti] += 1
-    return counts
+def _joint_counts(bounds, *, make_block, site_pairs, thresholds):
+    """Realizations in ``bounds`` at or below (y1, y2), per site pair and threshold."""
+    values = make_block(bounds)
+    ia, ib = np.transpose(site_pairs)
+    y1, y2 = np.asarray(thresholds, dtype=float).reshape(-1, 2).T
+    return ((values[:, ia, None] <= y1) & (values[:, ib, None] <= y2)).sum(axis=0, dtype=np.int64)
 
 
 def _measurement_grid(pairs):
@@ -219,7 +231,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     grid, site_pairs = _measurement_grid(spec.pairs)
 
     if spec.construction == "storm":
-        make_values = partial(_storm_values, params=cfg.storm, grid=grid, seed=cfg.seed)
+        make_block = partial(_storm_block, params=cfg.storm, grid=grid, seed=cfg.seed)
 
         def closed_form(pair, y1, y2):
             h, u = pair
@@ -227,9 +239,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     else:
         factor = rescaled_factor(cfg.model, grid, spec.n)
         expansion = cfg.model.expansion()
-        make_values = partial(
-            _hr_values, model=cfg.model, grid=grid, n=spec.n,
-            kind=MarginalKind.FRECHET, seed=cfg.seed, factor=factor,
+        make_block = partial(
+            _hr_block, factor=factor, n=spec.n, kind=MarginalKind.FRECHET, seed=cfg.seed,
         )
 
         def closed_form(pair, y1, y2):
@@ -243,7 +254,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     n_chunks = min(total, max(1, cfg.workers * 8))
     edges = np.linspace(0, total, n_chunks + 1, dtype=int)
     worker = partial(
-        _joint_counts, make_values=make_values,
+        _joint_counts, make_block=make_block,
         site_pairs=site_pairs, thresholds=list(spec.thresholds),
     )
     counts = sum(_map_ordered(worker, list(zip(edges[:-1], edges[1:])), cfg.workers))

@@ -2,13 +2,23 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 import yaml
 
-from stormfields import AnisotropicModel, GneitingModel, MarginalKind, SeparableModel
-from stormfields.cli import main
+from stormfields import (
+    AnisotropicModel,
+    GneitingModel,
+    MarginalKind,
+    SeparableModel,
+    StormModelParams,
+    husler_reiss_field,
+    rescaled_factor,
+    simulate_storm_field,
+)
+from stormfields.cli import _hr_block, _joint_counts, _measurement_grid, _storm_block, main
 from stormfields.config import load_config, parse_config
 from stormfields.errors import ConfigError, FactorizationError
 
@@ -333,6 +343,69 @@ class TestValidateCommand:
         main(["validate", "-c", str(cfg_path), "--workers", "1", "--set", "validate.report=r1.csv"])
         main(["validate", "-c", str(cfg_path), "--workers", "2", "--set", "validate.report=r2.csv"])
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+class TestJointCounts:
+    MODEL = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
+    PAIRS = (((0.0, 0.0), 0.0), ((1.0, 0.0), 0.0), ((0.0, 0.0), 1.0))
+
+    @staticmethod
+    def scalar_counts(rows, site_pairs, thresholds):
+        counts = np.zeros((len(site_pairs), len(thresholds)), dtype=np.int64)
+        for values in rows:
+            for pi, (ia, ib) in enumerate(site_pairs):
+                for ti, (y1, y2) in enumerate(thresholds):
+                    if values[ia] <= y1 and values[ib] <= y2:
+                        counts[pi, ti] += 1
+        return counts
+
+    def test_hand_built_block_with_ties(self):
+        block = np.array([
+            [1.0, 2.0, 0.5],
+            [0.5, 0.5, 3.0],
+            [2.0, 1.0, 1.0],
+            [0.9, 2.5, 0.4],
+        ])
+        site_pairs = [(0, 1), (0, 2), (1, 1)]
+        # each value of the block equals some threshold coordinate
+        thresholds = [(1.0, 2.0), (0.5, 0.5), (2.0, 1.0), (1.0, 1.0), (3.0, 3.0)]
+        counts = _joint_counts(
+            (1, 4), make_block=lambda bounds: block[slice(*bounds)],
+            site_pairs=site_pairs, thresholds=thresholds,
+        )
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, self.scalar_counts(block[1:4], site_pairs, thresholds))
+        # pair (0, 1): row 1 sits exactly on (0.5, 0.5) and row 2 on (2.0, 1.0)
+        np.testing.assert_array_equal(counts[0], [1, 1, 2, 1, 3])
+
+    def test_block_helpers_of_both_constructions(self):
+        grid, site_pairs = _measurement_grid(self.PAIRS)
+        factor = rescaled_factor(self.MODEL, grid, 50)
+        params = StormModelParams(np.eye(2), 1.0)
+        cases = {
+            "husler_reiss": (
+                partial(_hr_block, factor=factor, n=50, kind=MarginalKind.FRECHET, seed=9),
+                lambda r: husler_reiss_field(
+                    self.MODEL, grid, 50, MarginalKind.FRECHET, 9, r, factor=factor
+                ).values,
+            ),
+            "storm": (
+                partial(_storm_block, params=params, grid=grid, seed=9),
+                lambda r: simulate_storm_field(params, grid, 9, r).values,
+            ),
+        }
+        for name, (make_block, single) in cases.items():
+            rows = np.array([single(r) for r in range(3, 11)])
+            np.testing.assert_array_equal(make_block((3, 11)), rows, err_msg=name)
+            # threshold 1 + pi sits exactly on the first row's values of pair pi
+            thresholds = [(1.0, 1.0)] + [(rows[0, ia], rows[0, ib]) for ia, ib in site_pairs]
+            counts = _joint_counts(
+                (3, 11), make_block=make_block, site_pairs=site_pairs, thresholds=thresholds,
+            )
+            np.testing.assert_array_equal(
+                counts, self.scalar_counts(rows, site_pairs, thresholds), err_msg=name
+            )
+            assert np.all(np.diagonal(counts[:, 1:]) >= 1), name
 
 
 def test_version_flag(capsys):

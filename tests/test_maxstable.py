@@ -17,17 +17,21 @@ from stormfields import (
     equivalent_storm_params,
     delta_from_storm,
     bivariate_cdf_smith,
+    husler_reiss_block,
     husler_reiss_field,
     normalize_maxima,
     rescaled_factor,
+    sample_replications,
     simulate_storm_field,
     SmoothnessExpansion,
     SpaceTimeLag,
     std_normal_quantile,
     storm_field_from_events,
+    substream,
     transform_marginal,
 )
 from stormfields.errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
+from stormfields.streams import FIELD_PURPOSE
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
 Z_E_INV = std_normal_quantile(math.exp(-1.0))  # z with Phi(z) = 1/e
@@ -139,6 +143,41 @@ class TestHuslerReissField:
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
         with pytest.raises(DomainError):
             husler_reiss_field(GNEITING, grid, 1, MarginalKind.FRECHET, 0)
+
+    @pytest.mark.parametrize("kind", list(MarginalKind))
+    @pytest.mark.parametrize("n", [2, 100, 1000])
+    def test_transform_after_max_matches_transform_first(self, n, kind):
+        # The field transforms the Gaussian maximum once per site; the
+        # reference transforms every replication and then takes the maximum.
+        grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0, 1.0))
+        factor = rescaled_factor(GNEITING, grid, n)
+        seed, k = 77, 7
+
+        def transform_first(realization):
+            rng = substream(seed, FIELD_PURPOSE, realization)
+            transformed = transform_marginal(sample_replications(factor, rng, n), n, kind)
+            return normalize_maxima(transformed.max(axis=0), n, kind)
+
+        singles = np.array([
+            husler_reiss_field(GNEITING, grid, n, kind, seed, r, factor=factor).values
+            for r in range(k)
+        ])
+        assert_array_equal(singles, np.array([transform_first(r) for r in range(k)]))
+        for cuts in ([], [1], [3], [2, 5], [1, 2, 3, 4, 5, 6]):
+            edges = [0, *cuts, k]
+            blocks = [
+                husler_reiss_block(factor, n, kind, seed, range(a, b))
+                for a, b in zip(edges[:-1], edges[1:])
+            ]
+            assert_array_equal(np.concatenate(blocks), singles)
+
+    def test_block_shape_and_small_n(self):
+        grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0]))
+        factor = rescaled_factor(GNEITING, grid, 10)
+        assert husler_reiss_block(factor, 10, MarginalKind.FRECHET, 1, range(0)).shape == (0, 2)
+        assert husler_reiss_block(factor, 10, MarginalKind.FRECHET, 1, [4, 2]).shape == (2, 2)
+        with pytest.raises(DomainError):
+            husler_reiss_block(factor, 1, MarginalKind.FRECHET, 1, [0])
 
     def test_peak_structure_across_marginals(self):
         # Frechet fields show isolated heavy peaks; the Gumbel field is the
