@@ -11,6 +11,12 @@ Three subcommands share one YAML configuration (see ``config``):
   against the closed-form bivariate distribution functions and flags
   discrepancies beyond a binomial 99% half-width plus 0.01.
 
+Both constructions run through one path: ``_construction`` alone tells them
+apart, and ``_map_blocks`` runs its block function, one row per realization,
+over contiguous realization ranges, installed once per worker process.  A row
+depends only on its realization's Philox substream, so no output depends on
+the worker count or on the ranges.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-threshold breach.
 """
@@ -43,7 +49,6 @@ from .gaussfield import SpaceTimeGrid
 from .maxstable import (
     MarginalKind,
     husler_reiss_block,
-    husler_reiss_field,
     rescaled_factor,
     simulate_storm_field,
 )
@@ -76,31 +81,62 @@ def _write_field_csv(path: Path, grid: SpaceTimeGrid, values: np.ndarray) -> Non
             handle.write(",".join(cells) + "\n")
 
 
-def _map_ordered(func, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
+# Set once in each pool worker by the pool initializer; never in the parent.
+_WORKER_BLOCK = None
 
 
-def _hr_values(index, *, model, grid, n, kind, seed, factor):
-    return husler_reiss_field(model, grid, n, kind, seed, index, factor=factor).values
+def _install_block(func) -> None:
+    global _WORKER_BLOCK
+    _WORKER_BLOCK = func
 
 
-def _storm_values(index, *, params, grid, seed):
-    return simulate_storm_field(params, grid, seed, index).values
+def _run_installed_block(bounds):
+    return _WORKER_BLOCK(bounds)
 
 
-# Block helpers for ``validate``: the values of realizations start..stop-1,
-# one row each.  They live at module level so that pool tasks can pickle them.
+def _map_blocks(func, total: int, workers: int) -> list:
+    """``func((start, stop))`` over ``min(total, 8 * workers)`` contiguous ranges of 0..total-1.
+
+    With more than one worker and range, a process pool installs ``func`` once
+    per worker (inherited under ``fork``, pickled once under ``spawn``) and
+    each task sends only its range.  Results come back in range order.
+    """
+    edges = np.linspace(0, total, min(total, max(1, workers * 8)) + 1, dtype=int).tolist()
+    ranges = list(zip(edges, edges[1:]))
+    if workers <= 1 or len(ranges) <= 1:
+        return [func(bounds) for bounds in ranges]
+    with ProcessPoolExecutor(min(workers, len(ranges)), initializer=_install_block,
+                             initargs=(func,)) as pool:
+        return list(pool.map(_run_installed_block, ranges))
+
+
+# Block functions, at module level so that a spawned pool worker can unpickle them.
 def _hr_block(bounds, *, factor, n, kind, seed):
     return husler_reiss_block(factor, n, kind, seed, range(*bounds))
 
 
 def _storm_block(bounds, *, params, grid, seed):
-    return np.array([_storm_values(index, params=params, grid=grid, seed=seed)
-                     for index in range(*bounds)])
+    return np.array([simulate_storm_field(params, grid, seed, i).values for i in range(*bounds)])
+
+
+def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: MarginalKind):
+    """``(make_block, jitter_used, closed_form(y1, y2, h, u))`` of construction ``name``."""
+    if name == "storm":
+        if grid.dimension != 2:
+            raise ConfigError("the storm construction requires a 2-d spatial grid")
+        if kind is not MarginalKind.FRECHET:
+            raise ConfigError("the storm construction has Frechet marginals only")
+        make_block = partial(_storm_block, params=cfg.storm, grid=grid, seed=cfg.seed)
+        return make_block, 0.0, partial(bivariate_cdf_smith, params=cfg.storm)
+
+    factor = rescaled_factor(cfg.model, grid, n)
+
+    def closed_form(y1, y2, h, u):
+        delta = delta_values(cfg.model.expansion(), h, u, aniso=cfg.model.anisotropy)
+        return bivariate_cdf_hr(y1, y2, float(delta))
+
+    make_block = partial(_hr_block, factor=factor, n=n, kind=kind, seed=cfg.seed)
+    return make_block, factor.jitter_used, closed_form
 
 
 def _sidecar_base(cfg: RunConfig, command: str) -> dict:
@@ -117,22 +153,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.construction == "husler_reiss":
-        factor = rescaled_factor(cfg.model, cfg.grid, cfg.n)
-        jitter = factor.jitter_used
-        make = partial(
-            _hr_values, model=cfg.model, grid=cfg.grid, n=cfg.n,
-            kind=cfg.marginal, seed=cfg.seed, factor=factor,
-        )
-    else:
-        if cfg.grid.dimension != 2:
-            raise ConfigError("the storm construction requires a 2-d spatial grid")
-        if cfg.marginal is not MarginalKind.FRECHET:
-            raise ConfigError("the storm construction has Frechet marginals only")
-        jitter = 0.0
-        make = partial(_storm_values, params=cfg.storm, grid=cfg.grid, seed=cfg.seed)
-
-    all_values = _map_ordered(make, range(cfg.realizations), cfg.workers)
+    make_block, jitter, _ = _construction(cfg, cfg.construction, cfg.grid, cfg.n, cfg.marginal)
+    all_values = np.concatenate(_map_blocks(make_block, cfg.realizations, cfg.workers))
     for index, values in enumerate(all_values):
         csv_path = out_dir / f"field_{index:04d}.csv"
         _write_field_csv(csv_path, cfg.grid, values)
@@ -230,34 +252,12 @@ def cmd_validate(cfg: RunConfig) -> int:
         raise ConfigError("validate requires a 2-d spatial model")
     grid, site_pairs = _measurement_grid(spec.pairs)
 
-    if spec.construction == "storm":
-        make_block = partial(_storm_block, params=cfg.storm, grid=grid, seed=cfg.seed)
-
-        def closed_form(pair, y1, y2):
-            h, u = pair
-            return bivariate_cdf_smith(y1, y2, np.asarray(h), u, cfg.storm)
-    else:
-        factor = rescaled_factor(cfg.model, grid, spec.n)
-        expansion = cfg.model.expansion()
-        make_block = partial(
-            _hr_block, factor=factor, n=spec.n, kind=MarginalKind.FRECHET, seed=cfg.seed,
-        )
-
-        def closed_form(pair, y1, y2):
-            h, u = pair
-            dependence = float(
-                delta_values(expansion, np.asarray(h), u, aniso=cfg.model.anisotropy)
-            )
-            return bivariate_cdf_hr(y1, y2, dependence)
-
+    make_block, _, closed_form = _construction(cfg, spec.construction, grid, spec.n,
+                                               MarginalKind.FRECHET)
     total = spec.realizations
-    n_chunks = min(total, max(1, cfg.workers * 8))
-    edges = np.linspace(0, total, n_chunks + 1, dtype=int)
-    worker = partial(
-        _joint_counts, make_block=make_block,
-        site_pairs=site_pairs, thresholds=list(spec.thresholds),
-    )
-    counts = sum(_map_ordered(worker, list(zip(edges[:-1], edges[1:])), cfg.workers))
+    count_block = partial(_joint_counts, make_block=make_block, site_pairs=site_pairs,
+                          thresholds=spec.thresholds)
+    counts = sum(_map_blocks(count_block, total, cfg.workers))
 
     report_path = Path(spec.report)
     if report_path.parent != Path("."):
@@ -265,11 +265,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     breached = False
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("pair,h1,h2,u,y1,y2,empirical,closed_form,abs_diff,half_width_99,flagged\n")
-        for pi, pair in enumerate(spec.pairs):
-            (h1, h2), u = pair
+        for pi, ((h1, h2), u) in enumerate(spec.pairs):
             for ti, (y1, y2) in enumerate(spec.thresholds):
                 empirical = counts[pi, ti] / total
-                theory = closed_form(pair, y1, y2)
+                theory = closed_form(y1, y2, np.array([h1, h2]), u)
                 diff = abs(empirical - theory)
                 half_width = _Z_99 * math.sqrt(empirical * (1.0 - empirical) / total)
                 flagged = diff > half_width + 0.01

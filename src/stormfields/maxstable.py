@@ -28,7 +28,6 @@ from .errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
 from .gaussfield import (
     CholeskyFactor,
     FieldSample,
-    JitterPolicy,
     SpaceTimeGrid,
     build_covariance_matrix,
     cholesky,
@@ -109,8 +108,7 @@ def normalize_maxima(max_values, n: int, kind: MarginalKind):
     return n * max_values
 
 
-def rescaled_factor(model: CorrelationModel, grid: SpaceTimeGrid, n: int,
-                    policy: JitterPolicy = JitterPolicy()) -> CholeskyFactor:
+def rescaled_factor(model: CorrelationModel, grid: SpaceTimeGrid, n: int) -> CholeskyFactor:
     """Cholesky factor of the model correlation at lags shrunken by (s_n, t_n).
 
     Exposed separately so that many realizations can reuse one factorization.
@@ -118,7 +116,7 @@ def rescaled_factor(model: CorrelationModel, grid: SpaceTimeGrid, n: int,
     if int(n) < 2:
         raise DomainError("n must be >= 2")
     scale = scaling_sequences(model.expansion(), int(n))
-    return cholesky(build_covariance_matrix(model, grid, scale=scale), policy)
+    return cholesky(build_covariance_matrix(model, grid, scale=scale))
 
 
 def husler_reiss_block(factor: CholeskyFactor, n: int, kind: MarginalKind, seed: int,

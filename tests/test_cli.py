@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from functools import partial
 
 import numpy as np
@@ -13,12 +14,20 @@ from stormfields import (
     GneitingModel,
     MarginalKind,
     SeparableModel,
+    SpaceTimeGrid,
     StormModelParams,
     husler_reiss_field,
     rescaled_factor,
     simulate_storm_field,
 )
-from stormfields.cli import _hr_block, _joint_counts, _measurement_grid, _storm_block, main
+from stormfields.cli import (
+    _hr_block,
+    _joint_counts,
+    _map_blocks,
+    _measurement_grid,
+    _storm_block,
+    main,
+)
 from stormfields.config import load_config, parse_config
 from stormfields.errors import ConfigError, FactorizationError
 
@@ -184,6 +193,24 @@ class TestSimulateCommand:
             name = f"field_{i:04d}.csv"
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
+        # the storm construction runs through the same pool path
+        for workers in (1, 2, 3):
+            assert main(["simulate", "-c", str(cfg_path), "--workers", str(workers),
+                         "--set", "simulate.construction=storm",
+                         "--set", f"simulate.output_dir=storm_w{workers}"]) == 0
+        for workers in (2, 3):
+            for i in range(4):
+                name = f"field_{i:04d}.csv"
+                assert (tmp_path / f"storm_w{workers}" / name).read_bytes() == (
+                    tmp_path / "storm_w1" / name
+                ).read_bytes()
+                # sidecars echo the worker count and output directory by design
+                meta = json.loads((tmp_path / f"storm_w{workers}" / f"field_{i:04d}.json").read_text())
+                ref = json.loads((tmp_path / "storm_w1" / f"field_{i:04d}.json").read_text())
+                assert {k: v for k, v in meta.items() if k != "config"} == {
+                    k: v for k, v in ref.items() if k != "config"
+                }
+
     def test_sidecar_echo_reproduces_run(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -207,12 +234,21 @@ class TestSimulateCommand:
         values = np.array([float(r.split(",")[-1]) for r in rows[1:]])
         assert np.all(values > 0.0)
 
-    def test_gumbel_storm_rejected(self, tmp_path, monkeypatch):
+    def test_gumbel_storm_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = dict(BASE_CONFIG)
         cfg["simulate"] = {**BASE_CONFIG["simulate"], "construction": "storm", "marginal": "gumbel"}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["simulate", "-c", str(cfg_path)]) == 2
+        assert "Frechet marginals only" in capsys.readouterr().err
+
+        # a 1-d spatial grid is rejected the same way
+        cfg["model"] = {"family": "gneiting", "dimension": 1}
+        cfg["grid"] = {"shape": [4], "origin": [0.0], "times": [0.0, 1.0]}
+        cfg["simulate"] = {**BASE_CONFIG["simulate"], "construction": "storm"}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["simulate", "-c", str(cfg_path)]) == 2
+        assert "2-d spatial grid" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"model": {"family": "gneiting"}})
@@ -406,6 +442,32 @@ class TestJointCounts:
                 counts, self.scalar_counts(rows, site_pairs, thresholds), err_msg=name
             )
             assert np.all(np.diagonal(counts[:, 1:]) >= 1), name
+
+
+def _numbered_hr_block(bounds, **kwargs):
+    """The realization indices of ``bounds``, their values and the process that drew them."""
+    return np.arange(*bounds), _hr_block(bounds, **kwargs), os.getpid()
+
+
+@pytest.mark.parametrize("total, workers", [(1, 2), (4, 2), (5, 3), (37, 2)])
+def test_map_blocks_ranges_and_pool(total, workers):
+    grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
+    factor = rescaled_factor(TestJointCounts.MODEL, grid, 20)
+    func = partial(_numbered_hr_block, factor=factor, n=20, kind=MarginalKind.FRECHET, seed=5)
+    pooled = _map_blocks(func, total, workers)
+    assert len(pooled) == min(total, 8 * workers)
+    # non-empty ranges whose indices, joined in order, are exactly 0..total-1
+    assert all(len(indices) > 0 for indices, _, _ in pooled)
+    np.testing.assert_array_equal(np.concatenate([i for i, _, _ in pooled]), np.arange(total))
+    # more than one range runs in worker processes, one range in this one
+    pids = {pid for _, _, pid in pooled}
+    assert (os.getpid() not in pids) if len(pooled) > 1 else (pids == {os.getpid()})
+    serial = _map_blocks(func, total, 1)
+    rows = np.concatenate([values for _, values, _ in pooled])
+    np.testing.assert_array_equal(rows, np.concatenate([values for _, values, _ in serial]))
+    np.testing.assert_array_equal(
+        rows, _hr_block((0, total), factor=factor, n=20, kind=MarginalKind.FRECHET, seed=5)
+    )
 
 
 def test_version_flag(capsys):
