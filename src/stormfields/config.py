@@ -27,7 +27,7 @@ Schema (defaults shown; see README for the full description)::
     grid:
       shape: [30, 30]
       spacing: 1.0
-      origin: [0.0, 0.0]
+      origin: [0.0, 0.0]   # default: zeros of the model's dimension
       times: [0.0, 1.0, 2.0, 3.0]
 
     simulate:
@@ -105,7 +105,6 @@ _DEFAULTS = {
     "grid": {
         "shape": [30, 30],
         "spacing": 1.0,
-        "origin": [0.0, 0.0],
         "times": [0.0, 1.0, 2.0, 3.0],
     },
     "simulate": {
@@ -350,6 +349,8 @@ def _build_model(section) -> CorrelationModel:
 
 def _build_grid(section, dimension) -> SpaceTimeGrid:
     _reject_unknown(section, {"shape", "spacing", "origin", "times"}, "grid")
+    # set in the section itself, so that the run's echo records it
+    section.setdefault("origin", [0.0] * dimension)
     shape = section["shape"]
     if not isinstance(shape, list) or len(shape) != dimension:
         _fail("grid.shape", f"must be a list of {dimension} integer(s)")

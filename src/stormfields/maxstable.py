@@ -255,21 +255,55 @@ class StormEvent:
         object.__setattr__(self, "peak_time", float(self.peak_time))
 
 
-def _event_maxima(field, intensities, centers, peak_times, coords, times,
-                  precision, inv_s3sq, norm_const):
-    """Fold a batch of events into the running pointwise maximum."""
-    dx = centers[:, 0][:, None] - coords[None, :, 0]
-    dy = centers[:, 1][:, None] - coords[None, :, 1]
-    dt = peak_times[:, None] - times[None, :]
-    quad = (
-        precision[0, 0] * dx * dx
-        + 2.0 * precision[0, 1] * dx * dy
-        + precision[1, 1] * dy * dy
-        + inv_s3sq * dt * dt
-    )
+# Absolute slack on the reach threshold 2 log(I * peak / m) of
+# ``_event_maxima``: far above the rounding error of the computed quadratic
+# form and threshold, a few ulps of numbers below about 1.5e3.
+_REACH_MARGIN = 1e-9
+
+
+def _event_maxima(field, intensities, centers, peak_times, points, time_points,
+                  precision, inv_s3sq, peak):
+    """Fold a batch of events into the running pointwise maximum.
+
+    The grid is the product of ``points`` (n_space, 2) and ``time_points``
+    (n_time,), flattened time-major, so the quadratic form of event k at
+    flat index ``t * n_space + s`` splits into a spatial part ``sq[k, s]``
+    and a temporal part ``tq[k, t]``, and ``sq + tq`` is the left-associated
+    ``P00 dx dx + 2 P01 dx dy + P11 dy dy + dt dt / s3^2`` bit for bit.
+    Event k contributes ``I_k * (peak * exp(-quad / 2))`` there.
+
+    While the field still has zeros, every event is folded at every point.
+    Once its minimum m is positive, event k can raise a value only inside
+    its reach, ``quad < thr_k = 2 log(I_k peak / m) + margin``.  The fold
+    keeps the (event, site) pairs with ``sq < thr_k - min_t tq``, then the
+    (event, site, time) triples with ``sq + tq < thr_k``, and takes ``exp``
+    on those alone.  The result is bitwise the dense fold's: a skipped
+    triple has a computed quad of at least ``2 log(I_k peak / m) + margin``
+    less a few ulps, so its computed contribution is at most
+    ``m exp(-margin / 2) (1 + O(ulp)) < m <= field[j]`` and the dense
+    maximum keeps ``field[j]`` there; every kept triple runs the dense
+    formula on the same operands; and ``max`` is exact and independent of
+    order.
+    """
+    dx = centers[:, 0][:, None] - points[None, :, 0]
+    dy = centers[:, 1][:, None] - points[None, :, 1]
+    dt = peak_times[:, None] - time_points[None, :]
+    sq = precision[0, 0] * dx * dx + 2.0 * precision[0, 1] * dx * dy + precision[1, 1] * dy * dy
+    tq = inv_s3sq * dt * dt
+    current_min = field.min()
     with np.errstate(under="ignore"):
-        contrib = intensities[:, None] * (norm_const * np.exp(-0.5 * quad))
-    return np.maximum(field, contrib.max(axis=0))
+        if current_min == 0.0:
+            quad = (sq[:, None, :] + tq[:, :, None]).reshape(len(intensities), -1)
+            contrib = intensities[:, None] * (peak * np.exp(-0.5 * quad))
+            return np.maximum(field, contrib.max(axis=0))
+        thr = 2.0 * np.log(intensities * peak / current_min) + _REACH_MARGIN
+        event, site = np.nonzero(sq < (thr - tq.min(axis=1))[:, None])
+        quad = sq[event, site][:, None] + tq[event]
+        pair, t = np.nonzero(quad < thr[event][:, None])
+        contrib = intensities[event[pair]] * (peak * np.exp(-0.5 * quad[pair, t]))
+    folded = field.copy()
+    np.maximum.at(folded, t * len(points) + site[pair], contrib)
+    return folded
 
 
 def storm_field_from_events(events, grid: SpaceTimeGrid,
@@ -277,14 +311,13 @@ def storm_field_from_events(events, grid: SpaceTimeGrid,
     """Compose the pointwise maximum field of explicitly given events."""
     if grid.dimension != 2:
         raise DomainError("the storm model is defined on a 2-d spatial domain")
-    coords, times = grid.flat_coordinates()
     field = np.zeros(grid.size)
     if events:
         intensities = np.array([e.intensity for e in events])
         centers = np.array([e.center for e in events])
         peak_times = np.array([e.peak_time for e in events])
         field = _event_maxima(
-            field, intensities, centers, peak_times, coords, times,
+            field, intensities, centers, peak_times, grid.spatial_points, grid.time_points,
             params.spatial_precision, 1.0 / params.sigma_time_sq,
             params.peak_density,
         )
@@ -309,18 +342,25 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
     * the next intensity falls below ``params.intensity_floor`` (remaining
       events are truncated; each could have contributed at most
       ``intensity_floor * params.peak_density``).
+
+    The same bound drives the fold.  Once the field minimum m is positive,
+    an event of intensity I is evaluated only inside its reach, the
+    ellipsoid ``quad < 2 log(I * peak_density / m)`` widened by an
+    absolute 1e-9; outside it its computed contribution stays below m, so
+    the field is bitwise the one a fold at every point gives (see
+    ``_event_maxima``).
     """
     if grid.dimension != 2:
         raise DomainError("the storm model is defined on a 2-d spatial domain")
     if int(batch_size) < 1:
         raise DomainError("batch_size must be >= 1")
     rng = substream(int(seed), STORM_PURPOSE, int(realization))
-    coords, times = grid.flat_coordinates()
+    points, times = grid.spatial_points, grid.time_points
 
     sds = np.sqrt(np.diag(params.sigma_space))
     s3 = math.sqrt(params.sigma_time_sq)
-    lo = coords.min(axis=0) - params.buffer * sds
-    hi = coords.max(axis=0) + params.buffer * sds
+    lo = points.min(axis=0) - params.buffer * sds
+    hi = points.max(axis=0) + params.buffer * sds
     t_lo = times.min() - params.buffer * s3
     t_hi = times.max() + params.buffer * s3
     volume = float(np.prod(hi - lo)) * (t_hi - t_lo)
@@ -358,7 +398,7 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
         if cut > 0:
             field = _event_maxima(
                 field, intensities[:cut], centers[:cut], peak_times[:cut],
-                coords, times, precision, inv_s3sq, peak,
+                points, times, precision, inv_s3sq, peak,
             )
         if stop.any():
             break

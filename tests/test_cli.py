@@ -61,6 +61,12 @@ class TestConfigParsing:
         assert cfg.grid.n_time == 4
         assert cfg.marginal is MarginalKind.FRECHET
 
+        # the default origin follows the model's dimension
+        cfg = parse_config({"seed": 1, "model": {"dimension": 1},
+                            "grid": {"shape": [4], "times": [0.0, 1.0]}})
+        assert cfg.grid.spatial_points.tolist() == [[0.0], [1.0], [2.0], [3.0]]
+        assert cfg.raw["grid"]["origin"] == [0.0]
+
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config({})

@@ -30,6 +30,7 @@ from stormfields import (
     substream,
     transform_marginal,
 )
+from stormfields import maxstable
 from stormfields.errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
 from stormfields.streams import FIELD_PURPOSE
 
@@ -300,6 +301,96 @@ class TestStormSimulator:
     def test_non_spd_sigma_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             StormModelParams(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+
+
+def dense_event_maxima(field, intensities, centers, peak_times, points, time_points,
+                       precision, inv_s3sq, norm_const):
+    """Reference fold: every event evaluated at every grid point."""
+    coords = np.tile(points, (len(time_points), 1))
+    times = np.repeat(time_points, len(points))
+    dx = centers[:, 0][:, None] - coords[None, :, 0]
+    dy = centers[:, 1][:, None] - coords[None, :, 1]
+    dt = peak_times[:, None] - times[None, :]
+    quad = (
+        precision[0, 0] * dx * dx
+        + 2.0 * precision[0, 1] * dx * dy
+        + precision[1, 1] * dy * dy
+        + inv_s3sq * dt * dt
+    )
+    with np.errstate(under="ignore"):
+        contrib = intensities[:, None] * (norm_const * np.exp(-0.5 * quad))
+    return np.maximum(field, contrib.max(axis=0))
+
+
+class TestLocalFold:
+    """The reach-limited fold is bitwise the dense fold."""
+
+    # irregular, unsorted spatial points and unsorted time points
+    POINTS = np.random.default_rng(61).uniform(-4.0, 4.0, size=(50, 2))
+    TIMES = np.array([2.5, -1.0, 0.3, 1.7])
+
+    @staticmethod
+    def fold_both(params, field, intensities, centers, peak_times, points, times):
+        args = (intensities, centers, peak_times, points, times,
+                params.spatial_precision, 1.0 / params.sigma_time_sq, params.peak_density)
+        return maxstable._event_maxima(field, *args), dense_event_maxima(field, *args)
+
+    @pytest.mark.parametrize("sigma, s3sq", [
+        (np.eye(2), 1.0),
+        (np.array([[1.0, 0.6], [0.6, 2.0]]), 1.0),
+        (np.array([[0.5, -0.3], [-0.3, 0.4]]), 0.3),
+    ])
+    def test_random_batches_with_positive_minimum(self, sigma, s3sq):
+        params = StormModelParams(sigma, s3sq)
+        peak = params.peak_density
+        rng = np.random.default_rng(62)
+        size = len(self.POINTS) * len(self.TIMES)
+        raised = 0
+        for _ in range(40):
+            m = float(rng.uniform(0.01, 1.0))
+            field = m * (1.0 + rng.exponential(0.5, size))
+            field[rng.integers(size)] = m
+            k = int(rng.integers(1, 30))
+            intensities = np.sort(m / peak * np.exp(rng.uniform(0.0, 6.0, k)))[::-1]
+            centers = rng.uniform(-7.0, 7.0, size=(k, 2))
+            peak_times = rng.uniform(-3.0, 4.5, k)
+            local, dense = self.fold_both(params, field, intensities, centers, peak_times,
+                                          self.POINTS, self.TIMES)
+            assert local.tobytes() == dense.tobytes()
+            raised += int(np.count_nonzero(dense > field))
+        assert raised > 100
+
+    def test_event_on_its_reach_boundary(self):
+        # one event whose contribution at one point equals the field minimum,
+        # and intensities a few ulps to a few 1e-10 either side of it
+        params = StormModelParams(np.array([[1.0, 0.6], [0.6, 2.0]]), 1.0)
+        m = 0.37
+        field = m * (1.0 + np.random.default_rng(63).exponential(0.5, 200))
+        j = 77  # time index 1, spatial index 27
+        field[j] = m
+        center = self.POINTS[27] + np.array([[0.7, -0.4]])
+        peak_time = self.TIMES[1] + np.array([0.5])
+        unit, _ = self.fold_both(params, np.zeros(200), np.array([1.0]), center, peak_time,
+                                 self.POINTS, self.TIMES)
+        on_boundary = m / unit[j]
+        for offset in (-4e-10, -2e-10, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 2e-10, 4e-10):
+            intensity = np.array([on_boundary * (1.0 + offset)])
+            local, dense = self.fold_both(params, field, intensity, center, peak_time,
+                                          self.POINTS, self.TIMES)
+            assert local.tobytes() == dense.tobytes()
+            if offset >= 2e-10:
+                assert dense[j] > m
+
+    @pytest.mark.parametrize("seed", [20240, 7919, 5])
+    def test_realizations_match_dense_reference(self, seed, monkeypatch):
+        params = StormModelParams(np.eye(2), 1.0)
+        grid = SpaceTimeGrid.regular(shape=(30, 30), times=(0.0, 1.0, 2.0, 3.0))
+        local = {b: simulate_storm_field(params, grid, seed, 0, batch_size=b).values
+                 for b in (1, 7, 64, 200)}
+        monkeypatch.setattr(maxstable, "_event_maxima", dense_event_maxima)
+        dense = simulate_storm_field(params, grid, seed, 0).values
+        for values in local.values():
+            assert values.tobytes() == dense.tobytes()
 
 
 class TestEquivalentStormParams:
