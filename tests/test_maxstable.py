@@ -370,7 +370,7 @@ class TestLocalFold:
         field[j] = m
         center = self.POINTS[27] + np.array([[0.7, -0.4]])
         peak_time = self.TIMES[1] + np.array([0.5])
-        unit, _ = self.fold_both(params, np.zeros(200), np.array([1.0]), center, peak_time,
+        _, unit = self.fold_both(params, np.zeros(200), np.array([1.0]), center, peak_time,
                                  self.POINTS, self.TIMES)
         on_boundary = m / unit[j]
         for offset in (-4e-10, -2e-10, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 2e-10, 4e-10):
