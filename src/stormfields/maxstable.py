@@ -260,6 +260,11 @@ class StormEvent:
 # form and threshold, a few ulps of numbers below about 1.5e3.
 _REACH_MARGIN = 1e-9
 
+# The reach fold makes about a dozen more numpy calls than the dense fold,
+# which outweighs what it saves on a batch of fewer (event, point) pairs
+# than this: on the few-point grid of ``validate``, or one event at a time.
+_REACH_MIN_PAIRS = 4096
+
 
 def _event_maxima(field, intensities, centers, peak_times, points, time_points,
                   precision, inv_s3sq, peak):
@@ -272,18 +277,21 @@ def _event_maxima(field, intensities, centers, peak_times, points, time_points,
     ``P00 dx dx + 2 P01 dx dy + P11 dy dy + dt dt / s3^2`` bit for bit.
     Event k contributes ``I_k * (peak * exp(-quad / 2))`` there.
 
-    While the field still has zeros, every event is folded at every point.
-    Once its minimum m is positive, event k can raise a value only inside
-    its reach, ``quad < thr_k = 2 log(I_k peak / m) + margin``.  The fold
-    keeps the (event, site) pairs with ``sq < thr_k - min_t tq``, then the
-    (event, site, time) triples with ``sq + tq < thr_k``, and takes ``exp``
-    on those alone.  The result is bitwise the dense fold's: a skipped
-    triple has a computed quad of at least ``2 log(I_k peak / m) + margin``
-    less a few ulps, so its computed contribution is at most
-    ``m exp(-margin / 2) (1 + O(ulp)) < m <= field[j]`` and the dense
-    maximum keeps ``field[j]`` there; every kept triple runs the dense
-    formula on the same operands; and ``max`` is exact and independent of
-    order.
+    Once the field minimum m is positive, event k can raise a value only
+    inside its reach, ``quad < thr_k = 2 log(I_k peak / m) + margin``.  The
+    reach fold keeps the (event, site) pairs with ``sq < thr_k - min_t tq``,
+    then the (event, site, time) triples with ``sq + tq < thr_k``, and takes
+    ``exp`` on those alone.  The result is bitwise the dense fold's: a
+    skipped triple has a computed quad of at least
+    ``2 log(I_k peak / m) + margin`` less a few ulps, so its computed
+    contribution is at most ``m exp(-margin / 2) (1 + O(ulp)) < m <= field[j]``
+    and the dense maximum keeps ``field[j]`` there; every kept triple runs
+    the dense formula on the same operands; and ``max`` is exact and
+    independent of order.
+
+    Every event is folded at every point instead while the field still has
+    zeros, and when the batch has fewer than ``_REACH_MIN_PAIRS``
+    (event, point) pairs; either fold gives the same bytes.
     """
     dx = centers[:, 0][:, None] - points[None, :, 0]
     dy = centers[:, 1][:, None] - points[None, :, 1]
@@ -292,18 +300,18 @@ def _event_maxima(field, intensities, centers, peak_times, points, time_points,
     tq = inv_s3sq * dt * dt
     current_min = field.min()
     with np.errstate(under="ignore"):
-        if current_min == 0.0:
-            quad = (sq[:, None, :] + tq[:, :, None]).reshape(len(intensities), -1)
-            contrib = intensities[:, None] * (peak * np.exp(-0.5 * quad))
-            return np.maximum(field, contrib.max(axis=0))
-        thr = 2.0 * np.log(intensities * peak / current_min) + _REACH_MARGIN
-        event, site = np.nonzero(sq < (thr - tq.min(axis=1))[:, None])
-        quad = sq[event, site][:, None] + tq[event]
-        pair, t = np.nonzero(quad < thr[event][:, None])
-        contrib = intensities[event[pair]] * (peak * np.exp(-0.5 * quad[pair, t]))
-    folded = field.copy()
-    np.maximum.at(folded, t * len(points) + site[pair], contrib)
-    return folded
+        if current_min > 0.0 and len(intensities) * field.size >= _REACH_MIN_PAIRS:
+            thr = 2.0 * np.log(intensities * peak / current_min) + _REACH_MARGIN
+            event, site = np.nonzero(sq < (thr - tq.min(axis=1))[:, None])
+            quad = sq[event, site][:, None] + tq[event]
+            pair, t = np.nonzero(quad < thr[event][:, None])
+            contrib = intensities[event[pair]] * (peak * np.exp(-0.5 * quad[pair, t]))
+            folded = field.copy()
+            np.maximum.at(folded, t * len(points) + site[pair], contrib)
+            return folded
+        quad = (sq[:, None, :] + tq[:, :, None]).reshape(len(intensities), -1)
+        contrib = intensities[:, None] * (peak * np.exp(-0.5 * quad))
+    return np.maximum(field, contrib.max(axis=0))
 
 
 def storm_field_from_events(events, grid: SpaceTimeGrid,
@@ -344,11 +352,12 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
       ``intensity_floor * params.peak_density``).
 
     The same bound drives the fold.  Once the field minimum m is positive,
-    an event of intensity I is evaluated only inside its reach, the
-    ellipsoid ``quad < 2 log(I * peak_density / m)`` widened by an
-    absolute 1e-9; outside it its computed contribution stays below m, so
-    the field is bitwise the one a fold at every point gives (see
-    ``_event_maxima``).
+    an event of intensity I can change the grid only inside its reach, the
+    ellipsoid ``quad < 2 log(I * peak_density / m)``; a batch of at least
+    4096 (event, point) pairs is evaluated only inside it, widened by an
+    absolute 1e-9.  Outside it the computed
+    contribution stays below m, so the field is bitwise the one a fold at
+    every point gives (see ``_event_maxima``).
     """
     if grid.dimension != 2:
         raise DomainError("the storm model is defined on a 2-d spatial domain")

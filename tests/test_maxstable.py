@@ -322,6 +322,14 @@ def dense_event_maxima(field, intensities, centers, peak_times, points, time_poi
     return np.maximum(field, contrib.max(axis=0))
 
 
+@pytest.fixture(params=["default", "reach"])
+def fold_choice(request, monkeypatch):
+    """The default choice of fold, or the reach fold on every batch it can take."""
+    if request.param == "reach":
+        monkeypatch.setattr(maxstable, "_REACH_MIN_PAIRS", 0)
+
+
+@pytest.mark.usefixtures("fold_choice")
 class TestLocalFold:
     """The reach-limited fold is bitwise the dense fold."""
 
