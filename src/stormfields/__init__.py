@@ -41,14 +41,12 @@ from .errors import (
 from .extremal import (
     bivariate_cdf_hr,
     bivariate_cdf_smith,
-    compute_bn,
     delta_from_storm,
     empirical_tail_dependence,
     exponent_measure,
     pickands,
     smith_cdf_spatial,
     smith_cdf_temporal,
-    storm_spatial_distance,
     tail_dependence,
 )
 from .gaussfield import (
@@ -76,7 +74,6 @@ from .maxstable import (
     transform_marginal,
 )
 from .numerics import (
-    gaussian_density_3d,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,

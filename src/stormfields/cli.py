@@ -8,14 +8,15 @@ Three subcommands share one YAML configuration (see ``config``):
 * ``surfaces``  exports plot-ready correlation and tail-dependence grids
   (the contour data behind the model's dependence story).
 * ``validate``  compares empirical joint non-exceedance probabilities
-  against the closed-form bivariate distribution functions and flags
+  against the closed-form bivariate distribution function and flags
   discrepancies beyond a binomial 99% half-width plus 0.01.
 
 Both constructions run through one path: ``_construction`` alone tells them
-apart, and ``_map_blocks`` runs its block function, one row per realization,
-over contiguous realization ranges, installed once per worker process.  A row
-depends only on its realization's Philox substream, so no output depends on
-the worker count or on the ranges.
+apart, by a block function and a dependence parameter delta(h, u) that the
+one closed form ``bivariate_cdf_hr`` takes.  ``_map_blocks`` runs the block
+function, one row per realization, over contiguous realization ranges,
+installed once per worker process.  A row depends only on its realization's
+Philox substream, so no output depends on the worker count or on the ranges.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-threshold breach.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -44,7 +44,7 @@ from .errors import (
     StormFieldsError,
     UnsupportedModelError,
 )
-from .extremal import bivariate_cdf_hr, bivariate_cdf_smith, tail_dependence
+from .extremal import bivariate_cdf_hr, delta_from_storm, tail_dependence
 from .gaussfield import SpaceTimeGrid
 from .maxstable import (
     MarginalKind,
@@ -120,23 +120,19 @@ def _storm_block(bounds, *, params, grid, seed):
 
 
 def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: MarginalKind):
-    """``(make_block, jitter_used, closed_form(y1, y2, h, u))`` of construction ``name``."""
+    """``(make_block, jitter_used, delta_of(h, u))`` of construction ``name``."""
     if name == "storm":
         if grid.dimension != 2:
             raise ConfigError("the storm construction requires a 2-d spatial grid")
         if kind is not MarginalKind.FRECHET:
             raise ConfigError("the storm construction has Frechet marginals only")
         make_block = partial(_storm_block, params=cfg.storm, grid=grid, seed=cfg.seed)
-        return make_block, 0.0, partial(bivariate_cdf_smith, params=cfg.storm)
+        return make_block, 0.0, partial(delta_from_storm, cfg.storm)
 
     factor = rescaled_factor(cfg.model, grid, n)
-
-    def closed_form(y1, y2, h, u):
-        delta = delta_values(cfg.model.expansion(), h, u, aniso=cfg.model.anisotropy)
-        return bivariate_cdf_hr(y1, y2, float(delta))
-
     make_block = partial(_hr_block, factor=factor, n=n, kind=kind, seed=cfg.seed)
-    return make_block, factor.jitter_used, closed_form
+    delta_of = partial(delta_values, cfg.model.expansion(), aniso=cfg.model.anisotropy)
+    return make_block, factor.jitter_used, delta_of
 
 
 def _sidecar_base(cfg: RunConfig, command: str) -> dict:
@@ -221,7 +217,7 @@ def _joint_counts(bounds, *, make_block, site_pairs, thresholds):
     """Realizations in ``bounds`` at or below (y1, y2), per site pair and threshold."""
     values = make_block(bounds)
     ia, ib = np.transpose(site_pairs)
-    y1, y2 = np.asarray(thresholds, dtype=float).reshape(-1, 2).T
+    y1, y2 = np.asarray(thresholds, dtype=float).T
     return ((values[:, ia, None] <= y1) & (values[:, ib, None] <= y2)).sum(axis=0, dtype=np.int64)
 
 
@@ -252,31 +248,31 @@ def cmd_validate(cfg: RunConfig) -> int:
         raise ConfigError("validate requires a 2-d spatial model")
     grid, site_pairs = _measurement_grid(spec.pairs)
 
-    make_block, _, closed_form = _construction(cfg, spec.construction, grid, spec.n,
-                                               MarginalKind.FRECHET)
+    make_block, _, delta_of = _construction(cfg, spec.construction, grid, spec.n,
+                                            MarginalKind.FRECHET)
     total = spec.realizations
     count_block = partial(_joint_counts, make_block=make_block, site_pairs=site_pairs,
                           thresholds=spec.thresholds)
-    counts = sum(_map_blocks(count_block, total, cfg.workers))
+    empirical = sum(_map_blocks(count_block, total, cfg.workers)) / total
+
+    # one closed-form call for every (pair, threshold) cell
+    lags, times = zip(*spec.pairs)
+    y1, y2 = np.asarray(spec.thresholds, dtype=float).T
+    theory = bivariate_cdf_hr(y1, y2, delta_of(np.array(lags), np.array(times))[:, None])
+    diff = np.abs(empirical - theory)
+    half_width = _Z_99 * np.sqrt(empirical * (1.0 - empirical) / total)
+    flagged = diff > half_width + 0.01
 
     report_path = Path(spec.report)
     if report_path.parent != Path("."):
         report_path.parent.mkdir(parents=True, exist_ok=True)
-    breached = False
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("pair,h1,h2,u,y1,y2,empirical,closed_form,abs_diff,half_width_99,flagged\n")
         for pi, ((h1, h2), u) in enumerate(spec.pairs):
-            for ti, (y1, y2) in enumerate(spec.thresholds):
-                empirical = counts[pi, ti] / total
-                theory = closed_form(y1, y2, np.array([h1, h2]), u)
-                diff = abs(empirical - theory)
-                half_width = _Z_99 * math.sqrt(empirical * (1.0 - empirical) / total)
-                flagged = diff > half_width + 0.01
-                breached = breached or flagged
-                cells = [str(pi), _format(h1), _format(h2), _format(u), _format(y1),
-                         _format(y2), _format(empirical), _format(theory),
-                         _format(diff), _format(half_width), str(int(flagged))]
-                handle.write(",".join(cells) + "\n")
+            for ti, (t1, t2) in enumerate(spec.thresholds):
+                cells = [_format(v) for v in (h1, h2, u, t1, t2, empirical[pi, ti],
+                                              theory[pi, ti], diff[pi, ti], half_width[pi, ti])]
+                handle.write(",".join([str(pi), *cells, str(int(flagged[pi, ti]))]) + "\n")
 
     sidecar = _sidecar_base(cfg, "validate")
     sidecar.update(
@@ -288,7 +284,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         }
     )
     _write_sidecar(report_path.with_suffix(".json"), sidecar)
-    return 4 if breached else 0
+    return 4 if flagged.any() else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -239,8 +239,9 @@ def _get_number(section, key, path, *, minimum=None, exclusive=False, integer=Fa
 def _merge(base, override, path="config"):
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value, f"{path}.{key}")
+        # a null section over a mapping default keeps the defaults, like an empty one
+        if isinstance(out.get(key), dict) and (value is None or isinstance(value, dict)):
+            out[key] = _merge(out[key], value or {}, f"{path}.{key}")
         else:
             out[key] = copy.deepcopy(value)
     return out

@@ -82,7 +82,7 @@ class SpaceTimeGrid:
         return coords, times
 
     @staticmethod
-    def regular(shape, spacing=1.0, origin=(0.0, 0.0), times=(0.0,)) -> "SpaceTimeGrid":
+    def regular(shape, spacing=1.0, origin=0.0, times=(0.0,)) -> "SpaceTimeGrid":
         """Axis-aligned rectangular grid, row-major in space."""
         shape = tuple(int(s) for s in np.atleast_1d(shape))
         if any(s < 1 for s in shape):

@@ -1,4 +1,4 @@
-"""Scalar special functions: standard normal CDF, quantile and Gaussian densities.
+"""Scalar special functions: the standard normal CDF, its density and quantile.
 
 Every closed-form dependence quantity in this package is built from the
 standard normal CDF, so the implementations here aim for near machine
@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError
+from .errors import DomainError
 
 __all__ = [
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
-    "gaussian_density_3d",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -222,40 +221,3 @@ def _quantile_initial(p):
     if np.any(hi):
         out[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
     return out
-
-
-def gaussian_density_3d(v, cov):
-    """Density of a centered trivariate normal distribution.
-
-    Parameters
-    ----------
-    v : array_like, shape (3,) or (..., 3)
-        Evaluation point(s).
-    cov : array_like, shape (3, 3)
-        Symmetric positive definite covariance matrix.
-
-    Returns
-    -------
-    float or ndarray
-        (2*pi)^{-3/2} |cov|^{-1/2} exp(-v^T cov^{-1} v / 2), strictly positive.
-    """
-    v = _as_float_array(v, "v")
-    if v.shape[-1] != 3:
-        raise DomainError("v must have length 3 in its last axis")
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (3, 3):
-        raise DomainError("cov must be a 3x3 matrix")
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(cov).max())):
-        raise NotPositiveDefiniteError("cov must be symmetric")
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("cov is not positive definite") from exc
-
-    # v^T cov^{-1} v via a triangular solve, |cov|^{1/2} from the factor.
-    y = np.linalg.solve(lower, np.atleast_2d(v.reshape(-1, 3)).T)
-    quad = np.sum(y * y, axis=0)
-    sqrt_det = float(np.prod(np.diag(lower)))
-    with np.errstate(under="ignore"):
-        out = (2.0 * np.pi) ** (-1.5) / sqrt_det * np.exp(-0.5 * quad)
-    return float(out[0]) if v.ndim == 1 else out.reshape(v.shape[:-1])

@@ -67,6 +67,10 @@ class TestConfigParsing:
         assert cfg.grid.spatial_points.tolist() == [[0.0], [1.0], [2.0], [3.0]]
         assert cfg.raw["grid"]["origin"] == [0.0]
 
+    @pytest.mark.parametrize("section", ["model", "grid", "storm", "simulate", "validate", "surfaces"])
+    def test_null_section_keeps_defaults(self, section):
+        assert parse_config({"seed": 1, section: None}).raw == parse_config({"seed": 1}).raw
+
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config({})

@@ -13,7 +13,6 @@ from stormfields import (
     StormModelParams,
     bivariate_cdf_hr,
     bivariate_cdf_smith,
-    compute_bn,
     delta_from_storm,
     empirical_tail_dependence,
     exponent_measure,
@@ -241,6 +240,174 @@ class TestStormClosedForms:
         assert delta_from_storm(params, h, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
+# Test-local oracles: the storm-model CDF in the paper's A_ij form and its
+# u = 0 and h = 0 reductions, written out independently of the library's
+# exponent-measure kernel so that criteria 1 and 2 keep an independent check.
+def _mahalanobis(params, h):
+    h = np.asarray(h, dtype=float)
+    return math.sqrt(h @ np.linalg.inv(params.sigma_space) @ h)
+
+
+def oracle_cdf_smith(y1, y2, h, u, params):
+    a = _mahalanobis(params, h)
+    if a == 0.0 and u == 0.0:
+        return math.exp(-1.0 / min(y1, y2))
+    s3sq = params.sigma_time_sq
+    s3 = math.sqrt(s3sq)
+    denom = 2.0 * s3 * math.sqrt(s3sq * a * a + u * u)
+    shift = s3sq * a * a + u * u
+    log_ratio = math.log(y2 / y1)
+    term1 = float(std_normal_cdf((2.0 * s3sq * log_ratio + shift) / denom)) / y1
+    term2 = float(std_normal_cdf((-2.0 * s3sq * log_ratio + shift) / denom)) / y2
+    return math.exp(-term1 - term2)
+
+
+def _oracle_reduced(y1, y2, r):
+    if r == 0.0:
+        return math.exp(-1.0 / min(y1, y2))
+    log_ratio = math.log(y2 / y1)
+    term1 = float(std_normal_cdf(0.5 * r + log_ratio / r)) / y1
+    term2 = float(std_normal_cdf(0.5 * r - log_ratio / r)) / y2
+    return math.exp(-term1 - term2)
+
+
+def oracle_cdf_spatial(y1, y2, h, params):
+    return _oracle_reduced(y1, y2, _mahalanobis(params, h))
+
+
+def oracle_cdf_temporal(y1, y2, u, params):
+    return _oracle_reduced(y1, y2, abs(u) / math.sqrt(params.sigma_time_sq))
+
+
+def _storm_draw(rng):
+    # the parameter and threshold draws of acceptance criteria 1 and 2
+    sigma = random_spd(rng)
+    s3sq = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    y1, y2 = rng.uniform(0.1, 10.0, 2)
+    return StormModelParams(sigma, s3sq), y1, y2
+
+
+class TestStormOracles:
+    def test_general_form_matches_oracle(self):
+        # criterion 1's draws (seed 1001)
+        rng = np.random.default_rng(1001)
+        worst = 0.0
+        for _ in range(1000):
+            params, y1, y2 = _storm_draw(rng)
+            h = rng.uniform(-3.0, 3.0, 2)
+            u = float(rng.uniform(-3.0, 3.0))
+            worst = max(worst, abs(
+                bivariate_cdf_smith(y1, y2, h, u, params) - oracle_cdf_smith(y1, y2, h, u, params)
+            ))
+        assert worst <= 1e-14
+
+    def test_reductions_match_oracles(self):
+        # criterion 2's draws (seed 1002)
+        rng = np.random.default_rng(1002)
+        worst = 0.0
+        for _ in range(1000):
+            params, y1, y2 = _storm_draw(rng)
+            h = rng.uniform(-3.0, 3.0, 2)
+            while np.allclose(h, 0.0):
+                h = rng.uniform(-3.0, 3.0, 2)
+            u = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
+            worst = max(
+                worst,
+                abs(bivariate_cdf_smith(y1, y2, h, 0.0, params) - oracle_cdf_smith(y1, y2, h, 0.0, params)),
+                abs(smith_cdf_spatial(y1, y2, h, params) - oracle_cdf_spatial(y1, y2, h, params)),
+                abs(bivariate_cdf_smith(y1, y2, (0.0, 0.0), u, params)
+                    - oracle_cdf_smith(y1, y2, (0.0, 0.0), u, params)),
+                abs(smith_cdf_temporal(y1, y2, u, params) - oracle_cdf_temporal(y1, y2, u, params)),
+            )
+        assert worst <= 1e-14
+
+
+class TestVectorised:
+    RNG_SEED = 21
+
+    @staticmethod
+    def _draws(size=(40, 3)):
+        rng = np.random.default_rng(TestVectorised.RNG_SEED)
+        y1 = rng.uniform(0.1, 10.0, size)
+        y2 = rng.uniform(0.1, 10.0, size)
+        d = rng.uniform(0.0, 20.0, size)
+        d[0, :] = 0.0   # complete dependence
+        d[1, :] = 2e3   # beyond the independence cut-off
+        return y1, y2, d
+
+    @pytest.mark.parametrize("func", [exponent_measure, bivariate_cdf_hr])
+    def test_threshold_functions_match_scalar_calls(self, func):
+        y1, y2, d = self._draws()
+        values = func(y1, y2, d)
+        assert values.shape == y1.shape
+        scalar = np.array([func(a, b, c) for a, b, c in zip(y1.ravel(), y2.ravel(), d.ravel())])
+        assert np.array_equal(values.ravel(), scalar)
+
+    def test_broadcasting(self):
+        y1, y2, d = self._draws()
+        values = bivariate_cdf_hr(y1[:, :1], y2[0], d[:, 0, None])
+        expected = [[bivariate_cdf_hr(y1[i, 0], y2[0, j], d[i, 0]) for j in range(3)]
+                    for i in range(len(d))]
+        assert np.array_equal(values, expected)
+
+    def test_pickands_matches_scalar_calls(self):
+        _, _, d = self._draws()
+        lam = np.random.default_rng(22).uniform(0.001, 0.999, d.shape)
+        values = pickands(lam, d)
+        scalar = np.array([pickands(l, c) for l, c in zip(lam.ravel(), d.ravel())])
+        assert np.array_equal(values.ravel(), scalar)
+
+    def test_delta_from_storm_matches_scalar_calls(self):
+        rng = np.random.default_rng(23)
+        params = StormModelParams(random_spd(rng), 2.5)
+        h = rng.uniform(-3.0, 3.0, (7, 5, 2))
+        u = rng.uniform(-3.0, 3.0, (7, 5))
+        values = delta_from_storm(params, h, u)
+        assert values.shape == (7, 5)
+        scalar = [[delta_from_storm(params, h[i, j], u[i, j]) for j in range(5)] for i in range(7)]
+        assert np.array_equal(values, scalar)
+
+    def test_scalar_inputs_return_python_floats(self):
+        params = StormModelParams(np.eye(2), 1.0)
+        for value in (
+            exponent_measure(1.0, 2.0, 0.5),
+            bivariate_cdf_hr(np.float64(1.0), 2, 0.5),
+            pickands(0.3, 0.5),
+            tail_dependence(0.5),
+            delta_from_storm(params, (1.0, 2.0), 0.5),
+            bivariate_cdf_smith(1.0, 2.0, (1.0, 2.0), 0.5, params),
+            smith_cdf_spatial(1.0, 2.0, (1.0, 2.0), params),
+            smith_cdf_temporal(1.0, 2.0, 0.5, params),
+        ):
+            assert type(value) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_one_bad_threshold_rejected(self, bad):
+        y1, y2, d = self._draws()
+        y2[3, 1] = bad
+        with pytest.raises(DomainError):
+            bivariate_cdf_hr(y1, y2, d)
+        with pytest.raises(DomainError):
+            exponent_measure(y2, y1, d)
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_one_bad_delta_rejected(self, bad):
+        y1, y2, d = self._draws()
+        d[5, 2] = bad
+        with pytest.raises(DomainError):
+            bivariate_cdf_hr(y1, y2, d)
+        with pytest.raises(DomainError):
+            pickands(np.full(d.shape, 0.4), d)
+        with pytest.raises(DomainError):
+            tail_dependence(d)
+
+    def test_one_bad_lam_rejected(self):
+        lam = np.full(10, 0.3)
+        lam[4] = 1.0
+        with pytest.raises(DomainError):
+            pickands(lam, 1.0)
+
+
 class TestEmpiricalTailDependence:
     @staticmethod
     def _samples(matrix):
@@ -280,32 +447,6 @@ class TestEmpiricalTailDependence:
         # all values equal: no strict exceedances of the quantile
         with pytest.raises(UndefinedEstimateError):
             empirical_tail_dependence(samples, (0, 1), 0.9)
-
-
-class TestComputeBn:
-    def test_frozen_value(self):
-        assert compute_bn(100) == pytest.approx(2.3662547929063939872, rel=1e-14)
-
-    def test_eventually_monotone(self):
-        assert compute_bn(10**6) > compute_bn(10**3)
-
-    def test_small_n_rejected(self):
-        for n in (0, 1, 2):
-            with pytest.raises(DomainError):
-                compute_bn(n)
-
-    def test_max_limit_law(self):
-        # Phi^n(b_n + log(y)/b_n) -> exp(-1/y).  Convergence is O(1/log n):
-        # the measured deviations at y = 2 are 0.0298, 0.0222, 0.0181 for
-        # n = 1e6, 1e9, 1e12 (beyond that 1 - Phi hits double granularity).
-        y = 2.0
-        deviations = []
-        for n in (10**6, 10**9, 10**12):
-            b = compute_bn(n)
-            value = float(std_normal_cdf(b + math.log(y) / b)) ** n
-            deviations.append(abs(value - math.exp(-1.0 / y)))
-        assert deviations[0] <= 0.04
-        assert deviations[0] > deviations[1] > deviations[2]
 
 
 @settings(max_examples=300, deadline=None)

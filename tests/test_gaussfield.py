@@ -61,6 +61,11 @@ class TestSpaceTimeGrid:
         assert grid.n_space == 6
         assert_array_equal(grid.spatial_points[:3], [[0, 0], [0, 1], [0, 2]])
         assert_array_equal(grid.spatial_points[3:], [[1, 0], [1, 1], [1, 2]])
+        # the default origin broadcasts to any dimension
+        line = SpaceTimeGrid.regular(shape=(4,))
+        assert_array_equal(line.spatial_points, [[0], [1], [2], [3]])
+        cube = SpaceTimeGrid.regular(shape=(2, 1, 2), spacing=0.5)
+        assert_array_equal(cube.spatial_points, [[0, 0, 0], [0, 0, 0.5], [0.5, 0, 0], [0.5, 0, 0.5]])
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError):

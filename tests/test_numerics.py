@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stormfields import gaussian_density_3d, std_normal_cdf, std_normal_pdf, std_normal_quantile
-from stormfields.errors import DomainError, NotPositiveDefiniteError
+from stormfields import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from stormfields.errors import DomainError
 
 # Values computed with a 40-digit arbitrary-precision oracle and frozen.
 PHI_TABLE = [
@@ -115,61 +115,6 @@ class TestStdNormalQuantile:
     def test_domain_rejected(self, p):
         with pytest.raises(DomainError):
             std_normal_quantile(p)
-
-
-class TestGaussianDensity3d:
-    def test_peak_value_identity_cov(self):
-        value = gaussian_density_3d([0.0, 0.0, 0.0], np.eye(3))
-        assert value == pytest.approx(0.063493635934240969786, rel=1e-14)
-        assert abs(value - 0.063494) < 1e-6
-
-    def test_even_symmetry(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert gaussian_density_3d(v, np.eye(3)) == gaussian_density_3d(-v, np.eye(3))
-
-    def test_diagonal_factorization(self):
-        # diag covariance: the trivariate density is the product of a
-        # bivariate spatial factor and a univariate temporal factor.
-        variances = np.array([0.7, 1.9, 3.1])
-        v = np.array([0.4, -1.2, 2.2])
-        joint = gaussian_density_3d(v, np.diag(variances))
-        spatial = (
-            1.0 / (2.0 * np.pi * np.sqrt(variances[0] * variances[1]))
-            * np.exp(-0.5 * (v[0] ** 2 / variances[0] + v[1] ** 2 / variances[1]))
-        )
-        temporal = (
-            1.0 / np.sqrt(2.0 * np.pi * variances[2])
-            * np.exp(-0.5 * v[2] ** 2 / variances[2])
-        )
-        assert joint == pytest.approx(spatial * temporal, rel=1e-14)
-
-    def test_positive(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            v = rng.normal(size=3) * 5
-            assert gaussian_density_3d(v, np.eye(3)) > 0.0
-
-    def test_general_spd(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(3, 3))
-        cov = a @ a.T + 0.5 * np.eye(3)
-        v = rng.normal(size=3)
-        expected = (
-            (2 * np.pi) ** -1.5
-            * np.linalg.det(cov) ** -0.5
-            * np.exp(-0.5 * v @ np.linalg.solve(cov, v))
-        )
-        assert gaussian_density_3d(v, cov) == pytest.approx(expected, rel=1e-12)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            gaussian_density_3d([0.0, 0.0, 0.0], np.diag([1.0, -1.0, 1.0]))
-        with pytest.raises(NotPositiveDefiniteError):
-            gaussian_density_3d([0.0, 0.0, 0.0], [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-    def test_wrong_shape(self):
-        with pytest.raises(DomainError):
-            gaussian_density_3d([0.0, 0.0], np.eye(3))
 
 
 def test_pdf_matches_cdf_derivative():
