@@ -1,9 +1,13 @@
 """Run configuration: YAML schema, defaults, validation and CLI overrides.
 
 A run is described by one YAML file with nested sections; ``--set`` flags
-on the command line override individual dotted keys.  Everything random
-flows from the mandatory ``seed`` key: a missing seed is a configuration
-error, never an implicit clock-based default.
+on the command line override dotted keys.  An override is merged into the
+configuration the same way the file is merged into the defaults, so a
+section override such as ``storm={sigma_time_sq: 2.0}`` or ``grid=null``
+keeps the section's other keys.  Every value is read through a typed
+reader, so a value of the wrong type is a ``ConfigError`` naming its dotted
+key.  Everything random flows from the mandatory ``seed`` key: a missing
+seed is a configuration error, never an implicit clock-based default.
 
 Schema (defaults shown; see README for the full description)::
 
@@ -216,60 +220,83 @@ def _reject_unknown(section, allowed, path):
         _fail(path, f"unknown key(s): {', '.join(unknown)}")
 
 
-def _get_number(section, key, path, *, minimum=None, exclusive=False, integer=False):
-    value = section[key]
+def _number(value, path, *, minimum=None, exclusive=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", "must be a number")
+        _fail(path, "must be a number")
     if integer:
-        if float(value) != int(value):
-            _fail(f"{path}.{key}", "must be an integer")
+        if not math.isfinite(value) or float(value) != int(value):
+            _fail(path, "must be an integer")
         value = int(value)
     else:
         value = float(value)
         if not math.isfinite(value):
-            _fail(f"{path}.{key}", "must be finite")
+            _fail(path, "must be finite")
     if minimum is not None:
         if exclusive and not value > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum}")
+            _fail(path, f"must be > {minimum}")
         if not exclusive and not value >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum}")
+            _fail(path, f"must be >= {minimum}")
     return value
 
 
-def _merge(base, override, path="config"):
+def _get_number(section, key, path, **limits):
+    return _number(section[key], f"{path}.{key}", **limits)
+
+
+def _numbers(value, path, *, length=None, **limits):
+    """A non-empty list of numbers, of ``length`` entries if given, as a tuple."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        kind = "integer" if limits.get("integer") else "number"
+        _fail(path, f"must be a list of {length or 'one or more'} {kind}(s)")
+    return tuple(_number(x, f"{path}[{i}]", **limits) for i, x in enumerate(value))
+
+
+def _get_numbers(section, key, path, **limits):
+    return _numbers(section[key], f"{path}.{key}", **limits)
+
+
+def _get_scalar_or_list(section, key, path, length):
+    """A number, or a list of ``length`` numbers (one per spatial axis)."""
+    if isinstance(section[key], list):
+        return _get_numbers(section, key, path, length=length)
+    return _get_number(section, key, path)
+
+
+def _get_string(section, key, path):
+    if not isinstance(section[key], str):
+        _fail(f"{path}.{key}", "must be a string")
+    return section[key]
+
+
+def _merge(base, override):
     out = copy.deepcopy(base)
     for key, value in override.items():
         # a null section over a mapping default keeps the defaults, like an empty one
         if isinstance(out.get(key), dict) and (value is None or isinstance(value, dict)):
-            out[key] = _merge(out[key], value or {}, f"{path}.{key}")
+            out[key] = _merge(out[key], value or {})
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
-def _apply_override(mapping, dotted, raw_value):
-    keys = dotted.split(".")
-    target = mapping
-    for key in keys[:-1]:
-        node = target.setdefault(key, {})
-        if not isinstance(node, dict):
-            _fail(dotted, "override path runs through a non-mapping value")
-        target = node
+def _override(item):
+    """``key.path=value`` as the nested mapping ``{key: {path: value}}``."""
+    if "=" not in item:
+        raise ConfigError(f"override {item!r} must have the form key.path=value")
+    dotted, raw_value = (part.strip() for part in item.split("=", 1))
     try:
-        target[keys[-1]] = yaml.safe_load(raw_value)
+        value = yaml.safe_load(raw_value)
     except yaml.YAMLError as exc:
         _fail(dotted, f"unparseable override value: {exc}")
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
 
 
 def _build_atoms(entries, path):
     if not isinstance(entries, list) or not entries:
         _fail(path, "must be a non-empty list of [v1, v2, weight] triples")
-    atoms = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            _fail(f"{path}[{i}]", "must be a [v1, v2, weight] triple")
-        atoms.append(tuple(float(x) for x in entry))
-    return tuple(atoms)
+    return tuple(_numbers(entry, f"{path}[{i}]", length=3) for i, entry in enumerate(entries))
 
 
 def _build_base(section, path):
@@ -289,11 +316,14 @@ _GNEITING_DEFAULTS = {
     "a": 0.03, "b": 0.03, "nu": 1.5, "gamma": 1.0, "beta1": 1.0, "beta2": 1.0, "dimension": 2,
 }
 _SEPARABLE_DEFAULTS = {"spatial_range": 1.0, "temporal_decay": 1.0, "dimension": 2}
+_MA_MIXTURE_DEFAULTS = {"dimension": 2}
+_BERNSTEIN_DEFAULTS = {"temporal_scale": 1.0, "temporal_exponent": 1.0}
+_ANISOTROPY_DEFAULTS = {"a_max": 3.0, "a_min": 1.0, "angle_deg": 45.0}
 
 
 def _build_model(section) -> CorrelationModel:
     family = section.get("family")
-    if family not in _MODEL_KEYS:
+    if not isinstance(family, str) or family not in _MODEL_KEYS:
         _fail("model.family", f"must be one of {sorted(_MODEL_KEYS)}, got {family!r}")
     _reject_unknown(section, _MODEL_KEYS[family], "model")
     if family == "gneiting":
@@ -317,32 +347,35 @@ def _build_model(section) -> CorrelationModel:
     elif family == "ma_mixture":
         if "atoms" not in section:
             _fail("model.atoms", "is required for the ma_mixture family")
+        merged = {**_MA_MIXTURE_DEFAULTS, **section}
         model = MaMixtureModel(
             atoms=_build_atoms(section["atoms"], "model.atoms"),
             base_spatial=_build_base(section.get("spatial"), "model.spatial"),
             base_temporal=_build_base(section.get("temporal"), "model.temporal"),
-            dimension=int(section.get("dimension", 2)),
+            dimension=_get_number(merged, "dimension", "model", minimum=1, integer=True),
         )
     else:
         for key in ("spatial_scales", "spatial_exponents", "atoms"):
             if key not in section:
                 _fail(f"model.{key}", "is required for the bernstein family")
+        merged = {**_BERNSTEIN_DEFAULTS, **section}
         model = BernsteinModel(
-            spatial_scales=tuple(float(x) for x in section["spatial_scales"]),
-            spatial_exponents=tuple(float(x) for x in section["spatial_exponents"]),
-            temporal_scale=float(section.get("temporal_scale", 1.0)),
-            temporal_exponent=float(section.get("temporal_exponent", 1.0)),
+            spatial_scales=_get_numbers(merged, "spatial_scales", "model"),
+            spatial_exponents=_get_numbers(merged, "spatial_exponents", "model"),
+            temporal_scale=_get_number(merged, "temporal_scale", "model"),
+            temporal_exponent=_get_number(merged, "temporal_exponent", "model"),
             atoms=_build_atoms(section["atoms"], "model.atoms"),
         )
 
     aniso = section.get("anisotropy")
     if aniso is not None:
         aniso = _expect_mapping(aniso, "model.anisotropy")
-        _reject_unknown(aniso, {"a_max", "a_min", "angle_deg"}, "model.anisotropy")
+        _reject_unknown(aniso, _ANISOTROPY_DEFAULTS, "model.anisotropy")
+        aniso = {**_ANISOTROPY_DEFAULTS, **aniso}
         transform = AnisotropyTransform(
-            a_max=float(aniso.get("a_max", 3.0)),
-            a_min=float(aniso.get("a_min", 1.0)),
-            angle=math.radians(float(aniso.get("angle_deg", 45.0))),
+            a_max=_get_number(aniso, "a_max", "model.anisotropy"),
+            a_min=_get_number(aniso, "a_min", "model.anisotropy"),
+            angle=math.radians(_get_number(aniso, "angle_deg", "model.anisotropy")),
         )
         model = AnisotropicModel(base=model, transform=transform)
     return model
@@ -352,17 +385,11 @@ def _build_grid(section, dimension) -> SpaceTimeGrid:
     _reject_unknown(section, {"shape", "spacing", "origin", "times"}, "grid")
     # set in the section itself, so that the run's echo records it
     section.setdefault("origin", [0.0] * dimension)
-    shape = section["shape"]
-    if not isinstance(shape, list) or len(shape) != dimension:
-        _fail("grid.shape", f"must be a list of {dimension} integer(s)")
-    times = section["times"]
-    if not isinstance(times, list) or not times:
-        _fail("grid.times", "must be a non-empty list")
     return SpaceTimeGrid.regular(
-        shape=[int(s) for s in shape],
-        spacing=section["spacing"],
-        origin=section["origin"],
-        times=[float(t) for t in times],
+        shape=_get_numbers(section, "shape", "grid", length=dimension, minimum=1, integer=True),
+        spacing=_get_scalar_or_list(section, "spacing", "grid", dimension),
+        origin=_get_scalar_or_list(section, "origin", "grid", dimension),
+        times=_get_numbers(section, "times", "grid"),
     )
 
 
@@ -372,13 +399,16 @@ def _build_storm(section, model) -> StormModelParams:
     )
     buffer = _get_number(section, "buffer", "storm", minimum=0.0)
     floor = _get_number(section, "intensity_floor", "storm", minimum=0.0, exclusive=True)
-    if section.get("from_model"):
+    if not isinstance(section["from_model"], bool):
+        _fail("storm.from_model", "must be true or false")
+    if section["from_model"]:
         return equivalent_storm_params(model.expansion(), buffer=buffer, intensity_floor=floor)
-    sigma = np.asarray(section["sigma"], dtype=float)
-    if sigma.shape != (2, 2):
+    sigma = section["sigma"]
+    if not isinstance(sigma, list) or len(sigma) != 2:
         _fail("storm.sigma", "must be a 2x2 matrix")
     return StormModelParams(
-        sigma_space=sigma,
+        sigma_space=np.array([_numbers(row, f"storm.sigma[{i}]", length=2)
+                              for i, row in enumerate(sigma)]),
         sigma_time_sq=_get_number(section, "sigma_time_sq", "storm", minimum=0.0, exclusive=True),
         buffer=buffer,
         intensity_floor=floor,
@@ -400,7 +430,7 @@ def _build_surfaces(section) -> SurfacesSpec:
         n_u=_get_number(section, "n_u", "surfaces", minimum=2, integer=True),
         extent=_get_number(section, "extent", "surfaces", minimum=0.0, exclusive=True),
         n_grid=_get_number(section, "n_grid", "surfaces", minimum=2, integer=True),
-        output=str(section["output"]),
+        output=_get_string(section, "output", "surfaces"),
     )
 
 
@@ -417,30 +447,27 @@ def _build_validate(section) -> ValidateSpec:
     if not isinstance(entries, list) or not entries:
         _fail("validate.pairs", "must be a non-empty list")
     for i, entry in enumerate(entries):
-        entry = _expect_mapping(entry, f"validate.pairs[{i}]")
-        _reject_unknown(entry, {"h", "u"}, f"validate.pairs[{i}]")
-        h = entry.get("h", [0.0, 0.0])
-        if not isinstance(h, list) or len(h) != 2:
-            _fail(f"validate.pairs[{i}].h", "must be a 2-vector")
-        pairs.append((tuple(float(x) for x in h), float(entry.get("u", 0.0))))
+        path = f"validate.pairs[{i}]"
+        entry = {"h": [0.0, 0.0], "u": 0.0, **_expect_mapping(entry, path)}
+        _reject_unknown(entry, {"h", "u"}, path)
+        pairs.append((_get_numbers(entry, "h", path, length=2), _get_number(entry, "u", path)))
     thresholds = []
-    for i, entry in enumerate(section["thresholds"]):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            pair = (float(entry), float(entry))
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            pair = (float(entry[0]), float(entry[1]))
+    entries = section["thresholds"]
+    if not isinstance(entries, list) or not entries:
+        _fail("validate.thresholds", "must be a non-empty list")
+    for i, entry in enumerate(entries):
+        path = f"validate.thresholds[{i}]"
+        if isinstance(entry, list):
+            thresholds.append(_numbers(entry, path, length=2, minimum=0.0, exclusive=True))
         else:
-            _fail(f"validate.thresholds[{i}]", "must be a number or a [y1, y2] pair")
-        if pair[0] <= 0.0 or pair[1] <= 0.0:
-            _fail(f"validate.thresholds[{i}]", "thresholds must be > 0")
-        thresholds.append(pair)
+            thresholds.append((_number(entry, path, minimum=0.0, exclusive=True),) * 2)
     return ValidateSpec(
         construction=construction,
         n=_get_number(section, "n", "validate", minimum=2, integer=True),
         realizations=realizations,
         pairs=tuple(pairs),
         thresholds=tuple(thresholds),
-        report=str(section["report"]),
+        report=_get_string(section, "report", "validate"),
     )
 
 
@@ -450,10 +477,7 @@ def parse_config(mapping, overrides=()) -> RunConfig:
         raise ConfigError("configuration must be a mapping")
     merged = _merge(_DEFAULTS, mapping)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} must have the form key.path=value")
-        dotted, raw_value = item.split("=", 1)
-        _apply_override(merged, dotted.strip(), raw_value)
+        merged = _merge(merged, _override(item))
 
     if "seed" not in merged or merged["seed"] is None:
         raise ConfigError("seed: a master seed is required; implicit seeding is not allowed")
@@ -496,7 +520,7 @@ def parse_config(mapping, overrides=()) -> RunConfig:
         marginal=marginal,
         n=_get_number(sim, "n", "simulate", minimum=2, integer=True),
         realizations=_get_number(sim, "realizations", "simulate", minimum=1, integer=True),
-        output_dir=str(sim["output_dir"]),
+        output_dir=_get_string(sim, "output_dir", "simulate"),
         storm=storm,
         surfaces=surfaces,
         validate=validate,

@@ -1,15 +1,19 @@
 """Exact sampling of stationary Gaussian fields on finite space-time grids.
 
 Sampling is dense: assemble the full correlation matrix over the flattened
-grid, factor it once, and draw replications as L z with z i.i.d. standard
-normal.  Grid sizes are therefore memory bound; N = n_space * n_time up to
-roughly 12 000 points is practical, which covers typical visual-simulation
-grids (a 30 x 30 x 4 grid is N = 3 600) with room to spare.
+grid, factor it once (adding the first diagonal jitter of the fixed
+``JITTER_LADDER`` that makes it positive definite), and draw replications
+as L z with z i.i.d. standard normal.  Grid sizes are therefore memory
+bound; N = n_space * n_time up to roughly 12 000 points is practical, which
+covers typical visual-simulation grids (a 30 x 30 x 4 grid is N = 3 600)
+with room to spare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -20,12 +24,16 @@ __all__ = [
     "SpaceTimeGrid",
     "FieldSample",
     "CholeskyFactor",
-    "JitterPolicy",
+    "JITTER_LADDER",
     "build_covariance_matrix",
     "cholesky",
-    "sample_field",
     "sample_replications",
 ]
+
+# Diagonal jitter tried in turn by ``cholesky``: none, then 1e-12 growing
+# tenfold up to 1e-6, each step multiplied from the last so the values carry
+# the rounding of repeated ``*= 10.0`` (1e-10 is 9.999999999999999e-11).
+JITTER_LADDER = (0.0, *accumulate(repeat(10.0, 6), mul, initial=1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +120,6 @@ class FieldSample:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Escalating diagonal jitter for nearly singular correlation matrices."""
-
-    initial: float = 1e-12
-    maximum: float = 1e-6
-    growth: float = 10.0
-
-
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     lower: np.ndarray
@@ -171,16 +170,18 @@ def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
     return out
 
 
-def cholesky(matrix: np.ndarray, policy: JitterPolicy = JitterPolicy()) -> CholeskyFactor:
-    """Lower Cholesky factor, adding escalating jitter if needed.
+def cholesky(matrix: np.ndarray) -> CholeskyFactor:
+    """Lower Cholesky factor, adding the first diagonal jitter that works.
 
-    Jitter starts at ``policy.initial`` and grows by ``policy.growth`` up to
-    ``policy.maximum``; the amount actually used is recorded on the factor.
+    The jitters of ``JITTER_LADDER`` are tried in order.  From the first
+    nonzero one on, they are written onto the diagonal of one copy of the
+    matrix, so off-diagonal entries are the input's and diagonal entries
+    are ``m_ii + jitter``.  The amount used is recorded on the factor.
 
     Raises
     ------
     FactorizationError
-        If the matrix is still not positive definite at maximum jitter; the
+        If the matrix is still not positive definite at the last jitter; the
         message names the most negative eigenvalue found.
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -190,34 +191,22 @@ def cholesky(matrix: np.ndarray, policy: JitterPolicy = JitterPolicy()) -> Chole
     if float(np.abs(matrix - matrix.T).max()) > 1e-12 * scale:
         raise DomainError("matrix must be symmetric")
 
-    try:
-        return CholeskyFactor(np.linalg.cholesky(matrix), 0.0)
-    except np.linalg.LinAlgError:
-        pass
-
-    eye = np.eye(matrix.shape[0])
-    jitter = policy.initial
-    while jitter <= policy.maximum * (1.0 + 1e-15):
+    work, diagonal = matrix, np.diag(matrix)
+    for jitter in JITTER_LADDER:
+        if jitter:
+            if work is matrix:
+                work = matrix.copy()
+            np.fill_diagonal(work, diagonal + jitter)
         try:
-            lower = np.linalg.cholesky(matrix + jitter * eye)
-            return CholeskyFactor(lower, jitter)
+            return CholeskyFactor(np.linalg.cholesky(work), jitter)
         except np.linalg.LinAlgError:
-            jitter *= policy.growth
+            pass
 
     most_negative = float(np.linalg.eigvalsh(matrix)[0])
     raise FactorizationError(
-        f"matrix is not positive definite at maximum jitter {policy.maximum:g}; "
+        f"matrix is not positive definite at maximum jitter {JITTER_LADDER[-1]:g}; "
         f"most negative pivot (eigenvalue) is {most_negative:.6e}"
     )
-
-
-def sample_field(factor: CholeskyFactor, grid: SpaceTimeGrid,
-                 rng: np.random.Generator, seed_info=None) -> FieldSample:
-    """Draw one zero-mean unit-variance field as L z from the given stream."""
-    if factor.size != grid.size:
-        raise DomainError("factor dimension does not match the grid size")
-    z = rng.standard_normal(grid.size)
-    return FieldSample(grid=grid, values=factor.lower @ z, seed_info=seed_info)
 
 
 def sample_replications(factor: CholeskyFactor, rng: np.random.Generator,

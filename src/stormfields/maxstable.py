@@ -39,14 +39,12 @@ from .streams import FIELD_PURPOSE, STORM_PURPOSE, substream
 __all__ = [
     "MarginalKind",
     "StormModelParams",
-    "StormEvent",
     "DEFAULT_INTENSITY_FLOOR",
     "transform_marginal",
     "normalize_maxima",
     "rescaled_factor",
     "husler_reiss_block",
     "husler_reiss_field",
-    "storm_field_from_events",
     "simulate_storm_field",
     "equivalent_storm_params",
 ]
@@ -235,26 +233,6 @@ class StormModelParams:
         return float((2.0 * math.pi) ** -1.5 / math.sqrt(det))
 
 
-@dataclass(frozen=True)
-class StormEvent:
-    """One Poisson atom: intensity, spatial center, temporal peak."""
-
-    intensity: float
-    center: tuple
-    peak_time: float
-
-    def __post_init__(self):
-        intensity = float(self.intensity)
-        if not (math.isfinite(intensity) and intensity > 0.0):
-            raise DomainError("intensity must be > 0")
-        object.__setattr__(self, "intensity", intensity)
-        center = tuple(float(c) for c in np.atleast_1d(self.center))
-        if len(center) != 2:
-            raise DomainError("center must be a 2-vector")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "peak_time", float(self.peak_time))
-
-
 # Absolute slack on the reach threshold 2 log(I * peak / m) of
 # ``_event_maxima``: far above the rounding error of the computed quadratic
 # form and threshold, a few ulps of numbers below about 1.5e3.
@@ -312,24 +290,6 @@ def _event_maxima(field, intensities, centers, peak_times, points, time_points,
         quad = (sq[:, None, :] + tq[:, :, None]).reshape(len(intensities), -1)
         contrib = intensities[:, None] * (peak * np.exp(-0.5 * quad))
     return np.maximum(field, contrib.max(axis=0))
-
-
-def storm_field_from_events(events, grid: SpaceTimeGrid,
-                            params: StormModelParams) -> FieldSample:
-    """Compose the pointwise maximum field of explicitly given events."""
-    if grid.dimension != 2:
-        raise DomainError("the storm model is defined on a 2-d spatial domain")
-    field = np.zeros(grid.size)
-    if events:
-        intensities = np.array([e.intensity for e in events])
-        centers = np.array([e.center for e in events])
-        peak_times = np.array([e.peak_time for e in events])
-        field = _event_maxima(
-            field, intensities, centers, peak_times, grid.spatial_points, grid.time_points,
-            params.spatial_precision, 1.0 / params.sigma_time_sq,
-            params.peak_density,
-        )
-    return FieldSample(grid=grid, values=field, seed_info=None)
 
 
 def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,

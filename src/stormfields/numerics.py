@@ -1,4 +1,4 @@
-"""Scalar special functions: the standard normal CDF, its density and quantile.
+"""Scalar special functions: the standard normal CDF and its quantile.
 
 Every closed-form dependence quantity in this package is built from the
 standard normal CDF, so the implementations here aim for near machine
@@ -14,7 +14,6 @@ from .errors import DomainError
 
 __all__ = [
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
 ]
 
@@ -138,14 +137,6 @@ def std_normal_cdf(x):
     scalar = arr.ndim == 0
     out = 0.5 * _erfc(-np.atleast_1d(arr) / _SQRT2)
     return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def std_normal_pdf(x):
-    """Standard normal density exp(-x^2/2)/sqrt(2*pi)."""
-    arr = _as_float_array(x, "x")
-    with np.errstate(under="ignore"):
-        out = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    return float(out) if arr.ndim == 0 else out
 
 
 def std_normal_quantile(p):

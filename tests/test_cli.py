@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from functools import partial
 
 import numpy as np
@@ -44,6 +45,13 @@ BASE_CONFIG = {
     "surfaces": {"n_h": 12, "n_u": 9, "h_max": 20.0, "u_max": 30.0},
 }
 
+# minimal valid model sections of the two families with list-valued keys
+BERNSTEIN = {"family": "bernstein", "spatial_scales": [0.5, 1.0],
+             "spatial_exponents": [0.8, 0.8], "atoms": [[1.0, 1.0, 1.0]]}
+MA_MIXTURE = {"family": "ma_mixture", "atoms": [[1.0, 1.0, 1.0]],
+              "spatial": {"scale": 0.2, "exponent": 1.5},
+              "temporal": {"scale": 0.4, "exponent": 1.0}}
+
 
 def write_config(tmp_path, mapping, name="cfg.yaml"):
     path = tmp_path / name
@@ -70,6 +78,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section", ["model", "grid", "storm", "simulate", "validate", "surfaces"])
     def test_null_section_keeps_defaults(self, section):
         assert parse_config({"seed": 1, section: None}).raw == parse_config({"seed": 1}).raw
+        # a null section override merges like a null section in the file
+        assert parse_config({"seed": 1}, [f"{section}=null"]).raw == parse_config({"seed": 1}).raw
 
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -91,6 +101,12 @@ class TestConfigParsing:
         assert cfg.model.a == 0.05
         assert cfg.workers == 3
         assert cfg.raw["simulate"]["n"] == 250
+
+        # a section override merges into the section, keeping its other keys
+        cfg = parse_config({"seed": 1}, overrides=["storm={sigma_time_sq: 2.0}"])
+        assert cfg.storm.sigma_time_sq == 2.0
+        assert cfg.storm.buffer == 4.0
+        assert cfg.raw["storm"] == {**parse_config({"seed": 1}).raw["storm"], "sigma_time_sq": 2.0}
 
     def test_anisotropy_section(self):
         cfg = parse_config(
@@ -140,6 +156,24 @@ class TestConfigParsing:
                                      "pairs": [{"h": [1.0, 0.0]}], "realizations": 1000}}
         )
         assert cfg.validate.thresholds == ((0.5, 0.5), (1.0, 2.0))
+
+    @pytest.mark.parametrize("mapping, key", [
+        ({"grid": {"spacing": "x"}}, "grid.spacing"),
+        ({"grid": {"shape": ["a", 3]}}, "grid.shape[0]"),
+        ({"grid": {"times": ["x"]}}, "grid.times[0]"),
+        ({"storm": {"sigma": "x"}}, "storm.sigma"),
+        ({"model": {**BERNSTEIN, "spatial_scales": ["x", 1]}}, "model.spatial_scales[0]"),
+        ({"model": {**BERNSTEIN, "temporal_scale": "x"}}, "model.temporal_scale"),
+        ({"model": {**MA_MIXTURE, "dimension": "two"}}, "model.dimension"),
+        ({"model": {**MA_MIXTURE, "atoms": [["a", 1, 1]]}}, "model.atoms[0][0]"),
+        ({"model": {"anisotropy": {"a_max": "big"}}}, "model.anisotropy.a_max"),
+        ({"validate": {"pairs": [{"h": ["a", 0]}]}}, "validate.pairs[0].h[0]"),
+        ({"validate": {"thresholds": [["a", 1]]}}, "validate.thresholds[0][0]"),
+        ({"validate": {"thresholds": 3}}, "validate.thresholds"),
+    ])
+    def test_wrong_type_names_its_key(self, mapping, key):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: must be")):
+            parse_config({"seed": 1, **mapping})
 
     def test_validate_minimum_realizations(self):
         with pytest.raises(ConfigError, match="validate.realizations"):

@@ -17,13 +17,13 @@ from stormfields import (
     SeparableModel,
     SmoothnessExpansion,
     SpaceTimeLag,
-    apply_anisotropy,
     delta,
     delta_values,
     scaling_sequences,
     scaling_sequences_from_log,
     variogram_to_covariance,
 )
+from stormfields.covmodels import apply_anisotropy
 from stormfields.errors import DomainError, UnsupportedModelError
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)

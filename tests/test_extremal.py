@@ -8,22 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormfields import (
-    FieldSample,
     SpaceTimeGrid,
     StormModelParams,
     bivariate_cdf_hr,
     bivariate_cdf_smith,
     delta_from_storm,
-    empirical_tail_dependence,
     exponent_measure,
     pickands,
     simulate_storm_field,
     smith_cdf_spatial,
     smith_cdf_temporal,
-    std_normal_cdf,
     tail_dependence,
 )
 from stormfields.errors import DomainError, UndefinedEstimateError
+from stormfields.extremal import empirical_tail_dependence
+from stormfields.gaussfield import FieldSample
+from stormfields.numerics import std_normal_cdf
 
 EXP_2PHI1 = 0.18587339814818439986  # exp(-2 Phi(1))
 TWO_PHI1 = 1.6826894921370858972    # 2 Phi(1)
@@ -164,7 +164,7 @@ class TestTailDependence:
 
     def test_definitional_identity_through_expansion(self):
         # chi evaluated through a model expansion is exactly the closed form
-        from stormfields import GneitingModel, SpaceTimeLag, delta, std_normal_cdf
+        from stormfields import GneitingModel, SpaceTimeLag, delta
 
         expansion = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0).expansion()
         for (h, u) in (((1.0, 0.0), 1.0), ((3.0, -4.0), 2.5), ((0.0, 0.0), 7.0)):

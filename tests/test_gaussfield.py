@@ -11,18 +11,16 @@ from stormfields import (
     AnisotropyTransform,
     BernsteinModel,
     GneitingModel,
-    JitterPolicy,
     MaMixtureModel,
     PoweredExponential,
     SeparableModel,
     SpaceTimeGrid,
     build_covariance_matrix,
     cholesky,
-    sample_field,
-    sample_replications,
-    substream,
 )
 from stormfields.errors import DomainError, FactorizationError
+from stormfields.gaussfield import JITTER_LADDER, sample_replications
+from stormfields.streams import substream
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
 
@@ -137,10 +135,25 @@ class TestCholesky:
         with pytest.raises(DomainError):
             cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
-    def test_custom_policy(self):
-        policy = JitterPolicy(initial=1e-10, maximum=1e-9, growth=10.0)
-        with pytest.raises(FactorizationError):
-            cholesky(np.diag([1.0, -1e-3]), policy)
+    def test_jitter_ladder_is_the_tenfold_loop(self):
+        # the values a loop of ``jitter *= 10.0`` from 1e-12 up to 1e-6 produces
+        loop, jitter = [], 1e-12
+        while jitter <= 1e-6 * (1.0 + 1e-15):
+            loop.append(jitter)
+            jitter *= 10.0
+        assert len(loop) == 7
+        assert JITTER_LADDER == (0.0, *loop)
+        assert JITTER_LADDER[3] == 9.999999999999999e-11
+        assert JITTER_LADDER[-1] == 9.999999999999997e-07
+
+    def test_jittered_factor_is_bitwise_the_added_identity(self, monkeypatch):
+        grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
+        matrix = build_covariance_matrix(GNEITING, grid, scale=(0.05, 0.05))
+        expected = [np.linalg.cholesky(matrix + j * np.eye(grid.size)) for j in (1e-12, 1e-11)]
+        monkeypatch.setattr(np, "eye", None)  # cholesky must not build an identity
+        factor = cholesky(matrix)
+        assert factor.jitter_used in (1e-12, 1e-11)
+        assert_array_equal(factor.lower, expected[factor.jitter_used == 1e-11])
 
     @pytest.mark.parametrize("model", CATALOGUE.values(), ids=CATALOGUE.keys())
     def test_catalogued_models_factor_with_small_jitter(self, model):
@@ -172,24 +185,21 @@ class TestSampling:
     def test_determinism_same_stream(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0, 1.0))
         factor = cholesky(build_covariance_matrix(GNEITING, grid))
-        a = sample_field(factor, grid, substream(7, 0, 4), seed_info=(7, 4))
-        b = sample_field(factor, grid, substream(7, 0, 4), seed_info=(7, 4))
-        assert_array_equal(a.values, b.values)
-        assert a.seed_info == (7, 4)
+        for count in (1, 3):
+            a = sample_replications(factor, substream(7, 0, 4), count)
+            b = sample_replications(factor, substream(7, 0, 4), count)
+            assert a.shape == (count, grid.size)
+            assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
         factor = cholesky(build_covariance_matrix(GNEITING, grid))
-        a = sample_field(factor, grid, substream(7, 0, 0))
-        b = sample_field(factor, grid, substream(7, 0, 1))
-        c = sample_field(factor, grid, substream(8, 0, 0))
-        assert not np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
-
-    def test_factor_grid_size_mismatch(self):
-        grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
-        with pytest.raises(DomainError):
-            sample_field(cholesky(np.eye(4)), grid, substream(0, 0, 0))
+        for count in (1, 3):
+            a = sample_replications(factor, substream(7, 0, 0), count)
+            b = sample_replications(factor, substream(7, 0, 1), count)
+            c = sample_replications(factor, substream(8, 0, 0), count)
+            assert not np.array_equal(a, b)
+            assert not np.array_equal(a, c)
 
     def test_covariance_reproduced_on_small_grid(self):
         # empirical covariance of many replications approaches the target

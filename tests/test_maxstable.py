@@ -10,7 +10,6 @@ from stormfields import (
     GneitingModel,
     MarginalKind,
     SpaceTimeGrid,
-    StormEvent,
     StormModelParams,
     bivariate_cdf_hr,
     delta,
@@ -19,20 +18,17 @@ from stormfields import (
     bivariate_cdf_smith,
     husler_reiss_block,
     husler_reiss_field,
-    normalize_maxima,
     rescaled_factor,
-    sample_replications,
     simulate_storm_field,
     SmoothnessExpansion,
     SpaceTimeLag,
-    std_normal_quantile,
-    storm_field_from_events,
-    substream,
-    transform_marginal,
 )
 from stormfields import maxstable
 from stormfields.errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
-from stormfields.streams import FIELD_PURPOSE
+from stormfields.gaussfield import cholesky, sample_replications
+from stormfields.maxstable import normalize_maxima, transform_marginal
+from stormfields.numerics import std_normal_quantile
+from stormfields.streams import FIELD_PURPOSE, substream
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
 Z_E_INV = std_normal_quantile(math.exp(-1.0))  # z with Phi(z) = 1/e
@@ -145,6 +141,11 @@ class TestHuslerReissField:
         with pytest.raises(DomainError):
             husler_reiss_field(GNEITING, grid, 1, MarginalKind.FRECHET, 0)
 
+    def test_factor_grid_size_mismatch(self):
+        grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
+        with pytest.raises(DomainError):
+            husler_reiss_field(GNEITING, grid, 50, MarginalKind.FRECHET, 0, factor=cholesky(np.eye(4)))
+
     @pytest.mark.parametrize("kind", list(MarginalKind))
     @pytest.mark.parametrize("n", [2, 100, 1000])
     def test_transform_after_max_matches_transform_first(self, n, kind):
@@ -210,20 +211,30 @@ class TestHuslerReissField:
 class TestStormSimulator:
     PARAMS = StormModelParams(np.eye(2), 1.0)
 
+    @classmethod
+    def fold(cls, events, grid):
+        """Field of the given (intensity, (cx, cy), peak_time) events alone."""
+        intensities, centers, peak_times = (np.array(c, dtype=float) for c in zip(*events))
+        params = cls.PARAMS
+        return maxstable._event_maxima(
+            np.zeros(grid.size), intensities, centers, peak_times, grid.spatial_points,
+            grid.time_points, params.spatial_precision, 1.0 / params.sigma_time_sq,
+            params.peak_density,
+        )
+
     def test_forced_event_peak(self):
         grid = SpaceTimeGrid(np.array([[2.0, 3.0]]), np.array([5.0]))
-        event = StormEvent(intensity=1.0, center=(2.0, 3.0), peak_time=5.0)
-        field = storm_field_from_events([event], grid, self.PARAMS)
-        assert field.values[0] == pytest.approx(0.063493635934240969786, rel=1e-14)
+        field = self.fold([(1.0, (2.0, 3.0), 5.0)], grid)
+        assert field[0] == pytest.approx(0.063493635934240969786, rel=1e-14)
 
     def test_additional_event_never_decreases(self):
         grid = SpaceTimeGrid.regular(shape=(4, 4), times=(0.0, 1.0))
-        first = StormEvent(1.0, (1.0, 1.0), 0.0)
-        second = StormEvent(0.7, (2.5, 2.5), 1.0)
-        one = storm_field_from_events([first], grid, self.PARAMS)
-        both = storm_field_from_events([first, second], grid, self.PARAMS)
-        assert np.all(both.values >= one.values)
-        assert np.any(both.values > one.values)
+        first = (1.0, (1.0, 1.0), 0.0)
+        second = (0.7, (2.5, 2.5), 1.0)
+        one = self.fold([first], grid)
+        both = self.fold([first, second], grid)
+        assert np.all(both >= one)
+        assert np.any(both > one)
 
     def test_determinism(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0, 1.0))

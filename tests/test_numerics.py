@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stormfields import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from stormfields.numerics import std_normal_cdf, std_normal_quantile
 from stormfields.errors import DomainError
 
 # Values computed with a 40-digit arbitrary-precision oracle and frozen.
@@ -116,9 +116,3 @@ class TestStdNormalQuantile:
         with pytest.raises(DomainError):
             std_normal_quantile(p)
 
-
-def test_pdf_matches_cdf_derivative():
-    x = np.linspace(-5, 5, 101)
-    step = 1e-6
-    numeric = (std_normal_cdf(x + step) - std_normal_cdf(x - step)) / (2 * step)
-    assert_allclose(std_normal_pdf(x), numeric, rtol=0, atol=1e-9)
