@@ -149,11 +149,12 @@ class TestCholesky:
     def test_jittered_factor_is_bitwise_the_added_identity(self, monkeypatch):
         grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
         matrix = build_covariance_matrix(GNEITING, grid, scale=(0.05, 0.05))
-        expected = [np.linalg.cholesky(matrix + j * np.eye(grid.size)) for j in (1e-12, 1e-11)]
         monkeypatch.setattr(np, "eye", None)  # cholesky must not build an identity
         factor = cholesky(matrix)
-        assert factor.jitter_used in (1e-12, 1e-11)
-        assert_array_equal(factor.lower, expected[factor.jitter_used == 1e-11])
+        monkeypatch.undo()
+        assert factor.jitter_used > 0.0
+        expected = np.linalg.cholesky(matrix + factor.jitter_used * np.eye(grid.size))
+        assert_array_equal(factor.lower, expected)
 
     @pytest.mark.parametrize("model", CATALOGUE.values(), ids=CATALOGUE.keys())
     def test_catalogued_models_factor_with_small_jitter(self, model):
