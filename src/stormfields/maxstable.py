@@ -4,10 +4,10 @@ Construction one ("rescaled Gaussian maxima"): sample n independent copies
 of a stationary Gaussian field on a lag-shrunken grid, take their pointwise
 maximum, push it through the chosen marginal transform and apply the
 matching normalization.  The transforms are non-decreasing, so transforming
-the maximum equals the maximum of the transformed copies (up to the last-ulp
-caveat in ``husler_reiss_block``), at one Phi evaluation per site instead of
-n.  As n grows these fields converge to a max-stable limit whose bivariate
-distributions are available in closed form (module ``extremal``).
+the maximum equals the maximum of the transformed copies, at one Phi
+evaluation per site instead of n.  As n grows these fields converge to a
+max-stable limit whose bivariate distributions are available in closed form
+(module ``extremal``).
 
 Construction two ("storm profiles"): superpose Poisson-distributed events,
 each a scaled trivariate Gaussian bump in space-time, and record the
@@ -67,12 +67,12 @@ class MarginalKind(str, Enum):
     WEIBULL = "weibull"
 
 
-def transform_marginal(z, n: int, kind: MarginalKind):
+def transform_marginal(z, kind: MarginalKind):
     """Marginal transform of standard normal values, before normalization.
 
-    The replication count ``n`` enters through the outer normalization
-    applied after the pointwise maximum (see ``normalize_maxima``); the
-    transformed value itself is
+    The replication count enters through the outer normalization applied
+    after the pointwise maximum (see ``normalize_maxima``); the transformed
+    value itself is
 
         Frechet:  -1 / log(Phi(z))
         Gumbel:   -log(-log(Phi(z)))
@@ -82,8 +82,6 @@ def transform_marginal(z, n: int, kind: MarginalKind):
     three are non-decreasing in z, so they may be applied to the pointwise
     maximum of the replications rather than to each replication.
     """
-    if int(n) < 1:
-        raise DomainError("n must be >= 1")
     kind = MarginalKind(kind)
     p = np.clip(std_normal_cdf(z), _P_FLOOR, _P_CEIL)
     if kind is MarginalKind.FRECHET:
@@ -126,12 +124,8 @@ def husler_reiss_block(factor: CholeskyFactor, n: int, kind: MarginalKind, seed:
     ``(seed, realization r)``, so every row equals the single-realization
     result however the realizations are grouped into blocks.  The maximum
     is taken on the Gaussian values and the marginal transform runs once per
-    site of the whole block.  This equals transforming each replication
-    first as long as the computed Phi is monotone.  It is, except for 1-ulp
-    wiggles between inputs a few ulps apart (seen for |z| up to about 2.4,
-    none between inputs 8 ulps apart), so the two orders can differ only
-    where the two largest replications at a site lie within a few ulps of
-    each other.
+    site of the whole block.  The computed Phi and the transforms are
+    non-decreasing, so this equals transforming each replication first.
     """
     if int(n) < 2:
         raise DomainError("n must be >= 2")
@@ -140,7 +134,7 @@ def husler_reiss_block(factor: CholeskyFactor, n: int, kind: MarginalKind, seed:
     for row, realization in enumerate(realizations):
         rng = substream(int(seed), FIELD_PURPOSE, realization)
         maxima[row] = sample_replications(factor, rng, int(n)).max(axis=0)
-    return normalize_maxima(transform_marginal(maxima, int(n), kind), int(n), kind)
+    return normalize_maxima(transform_marginal(maxima, kind), int(n), kind)
 
 
 def husler_reiss_field(model: CorrelationModel, grid: SpaceTimeGrid, n: int,

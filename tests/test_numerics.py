@@ -1,4 +1,4 @@
-"""Normal CDF / quantile / density tests against frozen high-precision oracles."""
+"""Normal CDF and quantile tests against frozen high-precision oracles."""
 
 import numpy as np
 import pytest
@@ -55,6 +55,10 @@ class TestStdNormalCdf:
         x = np.linspace(-8.0, 8.0, 10_000)
         values = std_normal_cdf(x)
         assert np.all(np.diff(values) >= 0.0)
+        # and at neighbouring doubles, where a rational approximation can
+        # step down by an ulp
+        z = np.random.default_rng(20240).uniform(-8.0, 8.0, 200_000)
+        assert np.all(std_normal_cdf(np.nextafter(z, np.inf)) >= std_normal_cdf(z))
 
     def test_absolute_error_against_scipy(self):
         ndtr = pytest.importorskip("scipy.special").ndtr
