@@ -14,15 +14,11 @@ class NotPositiveDefiniteError(StormFieldsError):
 
 
 class FactorizationError(StormFieldsError):
-    """Cholesky factorization failed even after the maximum jitter."""
+    """Cholesky factorization failed with the diagonal jitter added."""
 
 
 class UnsupportedModelError(StormFieldsError):
     """The requested quantity is not available for this model family."""
-
-
-class UndefinedEstimateError(StormFieldsError):
-    """An empirical estimator is undefined for the given sample."""
 
 
 class ConfigError(StormFieldsError, ValueError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, UndefinedEstimateError
+from .errors import DomainError
 from .maxstable import StormModelParams
 from .numerics import std_normal_cdf
 
@@ -34,7 +34,6 @@ __all__ = [
     "smith_cdf_spatial",
     "smith_cdf_temporal",
     "delta_from_storm",
-    "empirical_tail_dependence",
 ]
 
 # Phi(40) rounds to 1 in double precision with error < 1e-300, so larger
@@ -166,35 +165,3 @@ def smith_cdf_temporal(y1, y2, u, params: StormModelParams):
     """
     return bivariate_cdf_hr(y1, y2, delta_from_storm(params, (0.0, 0.0), u))
 
-
-def empirical_tail_dependence(realizations, pair, q) -> float:
-    """Finite-level tail dependence estimate from field realizations.
-
-    Counts joint exceedances of the per-site empirical q-quantiles and
-    divides by the average marginal exceedance count.  The estimate lies in
-    [0, 1]; under independence it concentrates near 1 - q rather than 0,
-    the usual finite-level behaviour.
-
-    Parameters
-    ----------
-    realizations : sequence of FieldSample
-        At least 100 independent realizations on a common grid.
-    pair : (int, int)
-        Flat grid indices of the two sites.
-    q : float
-        Quantile level, 0.5 < q < 1.
-    """
-    if len(realizations) < 100:
-        raise DomainError("at least 100 realizations are required")
-    q = float(q)
-    if not 0.5 < q < 1.0:
-        raise DomainError("q must lie strictly between 0.5 and 1")
-    i, j = (int(pair[0]), int(pair[1]))
-    x = np.array([r.values[i] for r in realizations])
-    y = np.array([r.values[j] for r in realizations])
-    exceed_x = x > np.quantile(x, q)
-    exceed_y = y > np.quantile(y, q)
-    marginal = 0.5 * (int(exceed_x.sum()) + int(exceed_y.sum()))
-    if marginal == 0:
-        raise UndefinedEstimateError("no marginal exceedances at this level")
-    return float(int((exceed_x & exceed_y).sum()) / marginal)

@@ -1,19 +1,15 @@
-"""Exact sampling of stationary Gaussian fields on finite space-time grids.
+"""Sampling of stationary Gaussian fields on finite space-time grids.
 
-Sampling is dense: assemble the full correlation matrix over the flattened
-grid, factor it once (adding the first diagonal jitter of the fixed
-``JITTER_LADDER`` that makes it positive definite), and draw replications
-as L z with z i.i.d. standard normal.  Grid sizes are therefore memory
-bound; N = n_space * n_time up to roughly 12 000 points is practical, which
-covers typical visual-simulation grids (a 30 x 30 x 4 grid is N = 3 600)
-with room to spare.
+Sampling is dense: assemble the correlation matrix C over the flattened grid,
+factor C + 1e-12 I once (``JITTER``), and draw replications as L z with z
+i.i.d. standard normal.  Grid sizes are therefore memory bound; N = n_space *
+n_time up to roughly 12 000 points is practical, which covers typical
+visual-simulation grids (a 30 x 30 x 4 grid is N = 3 600) with room to spare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 
 import numpy as np
 
@@ -24,16 +20,15 @@ __all__ = [
     "SpaceTimeGrid",
     "FieldSample",
     "CholeskyFactor",
-    "JITTER_LADDER",
+    "JITTER",
     "build_covariance_matrix",
     "cholesky",
     "sample_replications",
 ]
 
-# Diagonal jitter tried in turn by ``cholesky``: none, then 1e-12 growing
-# tenfold up to 1e-6, each step multiplied from the last so the values carry
-# the rounding of repeated ``*= 10.0`` (1e-10 is 9.999999999999999e-11).
-JITTER_LADDER = (0.0, *accumulate(repeat(10.0, 6), mul, initial=1e-12))
+# Diagonal shift of the one factorization attempt.  It exceeds the rounding
+# error that leaves shrunken-lag correlation matrices slightly indefinite.
+JITTER = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +118,7 @@ class FieldSample:
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     lower: np.ndarray
-    jitter_used: float = 0.0
+    jitter_used: float = JITTER
 
     @property
     def size(self) -> int:
@@ -171,18 +166,13 @@ def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
 
 
 def cholesky(matrix: np.ndarray) -> CholeskyFactor:
-    """Lower Cholesky factor, adding the first diagonal jitter that works.
-
-    The jitters of ``JITTER_LADDER`` are tried in order.  From the first
-    nonzero one on, they are written onto the diagonal of one copy of the
-    matrix, so off-diagonal entries are the input's and diagonal entries
-    are ``m_ii + jitter``.  The amount used is recorded on the factor.
+    """Lower Cholesky factor of ``matrix + JITTER * I``, recording ``JITTER``.
 
     Raises
     ------
     FactorizationError
-        If the matrix is still not positive definite at the last jitter; the
-        message names the most negative eigenvalue found.
+        If the shifted matrix is not positive definite; the message names
+        the most negative eigenvalue of the input.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -191,22 +181,17 @@ def cholesky(matrix: np.ndarray) -> CholeskyFactor:
     if float(np.abs(matrix - matrix.T).max()) > 1e-12 * scale:
         raise DomainError("matrix must be symmetric")
 
-    work, diagonal = matrix, np.diag(matrix)
-    for jitter in JITTER_LADDER:
-        if jitter:
-            if work is matrix:
-                work = matrix.copy()
-            np.fill_diagonal(work, diagonal + jitter)
-        try:
-            return CholeskyFactor(np.linalg.cholesky(work), jitter)
-        except np.linalg.LinAlgError:
-            pass
-
-    most_negative = float(np.linalg.eigvalsh(matrix)[0])
-    raise FactorizationError(
-        f"matrix is not positive definite at maximum jitter {JITTER_LADDER[-1]:g}; "
-        f"most negative pivot (eigenvalue) is {most_negative:.6e}"
-    )
+    shifted = matrix.copy()
+    np.fill_diagonal(shifted, np.diag(matrix) + JITTER)
+    try:
+        lower = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        most_negative = float(np.linalg.eigvalsh(matrix)[0])
+        raise FactorizationError(
+            f"matrix is not positive definite at jitter {JITTER:g}; "
+            f"most negative pivot (eigenvalue) is {most_negative:.6e}"
+        ) from None
+    return CholeskyFactor(lower, JITTER)
 
 
 def sample_replications(factor: CholeskyFactor, rng: np.random.Generator,

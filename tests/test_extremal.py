@@ -8,21 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormfields import (
-    SpaceTimeGrid,
     StormModelParams,
     bivariate_cdf_hr,
     bivariate_cdf_smith,
     delta_from_storm,
     exponent_measure,
     pickands,
-    simulate_storm_field,
     smith_cdf_spatial,
     smith_cdf_temporal,
     tail_dependence,
 )
-from stormfields.errors import DomainError, UndefinedEstimateError
-from stormfields.extremal import empirical_tail_dependence
-from stormfields.gaussfield import FieldSample
+from stormfields.errors import DomainError
 from stormfields.numerics import std_normal_cdf
 
 EXP_2PHI1 = 0.18587339814818439986  # exp(-2 Phi(1))
@@ -406,47 +402,6 @@ class TestVectorised:
         lam[4] = 1.0
         with pytest.raises(DomainError):
             pickands(lam, 1.0)
-
-
-class TestEmpiricalTailDependence:
-    @staticmethod
-    def _samples(matrix):
-        grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0]))
-        return [FieldSample(grid, row) for row in matrix]
-
-    def test_identical_sites(self):
-        rng = np.random.default_rng(0)
-        x = rng.pareto(1.0, size=500) + 1.0
-        samples = self._samples(np.column_stack([x, x]))
-        assert empirical_tail_dependence(samples, (0, 1), 0.9) == 1.0
-
-    def test_independent_sites(self):
-        rng = np.random.default_rng(1)
-        matrix = 1.0 / rng.uniform(size=(10_000, 2))  # independent Frechet-like margins
-        estimate = empirical_tail_dependence(self._samples(matrix), (0, 1), 0.95)
-        assert abs(estimate - 0.05) <= 0.03
-
-    def test_storm_pair_matches_theory(self):
-        # chi-hat at q = 0.98 carries both Monte-Carlo noise (400 exceedances
-        # here) and a small finite-level bias, so 20k realizations keep the
-        # comparison against the limit value comfortably inside +-0.05.
-        params = StormModelParams(np.eye(2), 1.0)
-        grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.5, 0.0]]), np.array([0.0]))
-        samples = [simulate_storm_field(params, grid, 100, i) for i in range(20_000)]
-        dep = delta_from_storm(params, (1.5, 0.0), 0.0)
-        estimate = empirical_tail_dependence(samples, (0, 1), 0.98)
-        assert abs(estimate - tail_dependence(dep)) <= 0.05
-
-    def test_too_few_realizations(self):
-        samples = self._samples(np.ones((50, 2)))
-        with pytest.raises(DomainError):
-            empirical_tail_dependence(samples, (0, 1), 0.9)
-
-    def test_degenerate_level(self):
-        samples = self._samples(np.ones((200, 2)))
-        # all values equal: no strict exceedances of the quantile
-        with pytest.raises(UndefinedEstimateError):
-            empirical_tail_dependence(samples, (0, 1), 0.9)
 
 
 @settings(max_examples=300, deadline=None)

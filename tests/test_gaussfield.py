@@ -1,4 +1,4 @@
-"""Covariance assembly, Cholesky with jitter, and exact Gaussian sampling."""
+"""Covariance assembly, the Cholesky factor of C + 1e-12 I, and Gaussian sampling."""
 
 import math
 
@@ -19,7 +19,7 @@ from stormfields import (
     cholesky,
 )
 from stormfields.errors import DomainError, FactorizationError
-from stormfields.gaussfield import JITTER_LADDER, sample_replications
+from stormfields.gaussfield import JITTER, sample_replications
 from stormfields.streams import substream
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
@@ -113,13 +113,34 @@ class TestBuildCovariance:
 class TestCholesky:
     def test_identity(self):
         factor = cholesky(np.eye(3))
-        assert_array_equal(factor.lower, np.eye(3))
-        assert factor.jitter_used == 0.0
+        assert_array_equal(factor.lower, math.sqrt(1.0 + 1e-12) * np.eye(3))
+        assert factor.jitter_used == JITTER == 1e-12
 
     def test_hand_factor(self):
+        # closed form of [[d, 0.25], [0.25, d]] with d = 1 + 1e-12:
+        # sqrt(d), 0.25 / sqrt(d) and sqrt(d - 0.0625 / d), to 20 digits
         factor = cholesky(np.array([[1.0, 0.25], [0.25, 1.0]]))
-        expected = np.array([[1.0, 0.0], [0.25, 0.96824583655185422129]])
+        expected = np.array([[1.0000000000005000444, 0.0],
+                             [0.24999999999987498889, 0.96824583655240294271]])
         assert_allclose(factor.lower, expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("case", ["identity", "singular", "indefinite"])
+    def test_one_factorization_attempt(self, case, monkeypatch):
+        if case == "singular":
+            grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
+            matrix = build_covariance_matrix(GNEITING, grid, scale=(0.05, 0.05))
+        else:
+            matrix = {"identity": np.eye(3), "indefinite": np.diag([1.0, -1.0])}[case]
+        calls = []
+        factorize = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or factorize(a))
+        if case == "indefinite":
+            with pytest.raises(FactorizationError):
+                cholesky(matrix)
+        else:
+            assert cholesky(matrix).jitter_used == JITTER
+        assert len(calls) == 1
 
     def test_rank_deficient_needs_jitter(self):
         factor = cholesky(np.ones((2, 2)))
@@ -134,17 +155,6 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-    def test_jitter_ladder_is_the_tenfold_loop(self):
-        # the values a loop of ``jitter *= 10.0`` from 1e-12 up to 1e-6 produces
-        loop, jitter = [], 1e-12
-        while jitter <= 1e-6 * (1.0 + 1e-15):
-            loop.append(jitter)
-            jitter *= 10.0
-        assert len(loop) == 7
-        assert JITTER_LADDER == (0.0, *loop)
-        assert JITTER_LADDER[3] == 9.999999999999999e-11
-        assert JITTER_LADDER[-1] == 9.999999999999997e-07
 
     def test_jittered_factor_is_bitwise_the_added_identity(self, monkeypatch):
         grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
