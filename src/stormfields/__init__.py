@@ -3,7 +3,7 @@
 The package has three layers:
 
 * correlation models for the underlying Gaussian fields and their small-lag
-  expansions (``covmodels``), backed by exact dense Gaussian sampling
+  expansions (``covmodels``), backed by dense Gaussian sampling
   (``gaussfield``);
 * the two max-stable constructions, rescaled Gaussian maxima and the
   storm-profile simulator (``maxstable``);
