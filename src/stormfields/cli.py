@@ -36,14 +36,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .covmodels import delta_values
-from .errors import (
-    ConfigError,
-    DomainError,
-    FactorizationError,
-    NotPositiveDefiniteError,
-    StormFieldsError,
-    UnsupportedModelError,
-)
+from .errors import ConfigError, StormFieldsError
 from .extremal import bivariate_cdf_hr, delta_from_storm, tail_dependence
 from .gaussfield import SpaceTimeGrid
 from .maxstable import (
@@ -63,22 +56,27 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def _write_sidecar(path: Path, payload: dict) -> None:
+def _float_rows(*columns):
+    """One row of formatted cells per entry of the equal-length ``columns``."""
+    return (map(_format, row) for row in np.column_stack(columns).tolist())
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header`` and one line per row of cell strings, UTF-8 with LF endings."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(row) + "\n")
+
+
+def _write_sidecar(path: Path, cfg: RunConfig, command: str, fields: dict) -> None:
+    """JSON sidecar: the command, config echo, master seed and library version, plus ``fields``."""
+    payload = {"command": command, "config": cfg.raw, "master_seed": cfg.seed,
+               "library_version": __version__, **fields}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _write_field_csv(path: Path, grid: SpaceTimeGrid, values: np.ndarray) -> None:
-    coords, times = grid.flat_coordinates()
-    columns = [f"s{i + 1}" for i in range(grid.dimension)] + ["t", "value"]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(columns) + "\n")
-        for k in range(grid.size):
-            cells = [_format(c) for c in coords[k]]
-            cells.append(_format(times[k]))
-            cells.append(_format(values[k]))
-            handle.write(",".join(cells) + "\n")
 
 
 # Set once in each pool worker by the pool initializer; never in the parent.
@@ -135,36 +133,23 @@ def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: 
     return make_block, factor.jitter_used, delta_of
 
 
-def _sidecar_base(cfg: RunConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "config": cfg.raw,
-        "master_seed": cfg.seed,
-        "library_version": __version__,
-    }
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     """Write one `s1,..,t,value` CSV plus sidecar per realization."""
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     make_block, jitter, _ = _construction(cfg, cfg.construction, cfg.grid, cfg.n, cfg.marginal)
     all_values = np.concatenate(_map_blocks(make_block, cfg.realizations, cfg.workers))
+    coords, times = cfg.grid.flat_coordinates()
+    header = ",".join([f"s{i + 1}" for i in range(cfg.grid.dimension)] + ["t", "value"])
     for index, values in enumerate(all_values):
         csv_path = out_dir / f"field_{index:04d}.csv"
-        _write_field_csv(csv_path, cfg.grid, values)
-        sidecar = _sidecar_base(cfg, "simulate")
-        sidecar.update(
-            {
-                "realization": index,
-                "construction": cfg.construction,
-                "marginal": cfg.marginal.value,
-                "jitter_used": jitter,
-                "csv_file": csv_path.name,
-            }
-        )
-        _write_sidecar(out_dir / f"field_{index:04d}.json", sidecar)
+        _write_csv(csv_path, header, _float_rows(coords, times, values))
+        _write_sidecar(csv_path.with_suffix(".json"), cfg, "simulate", {
+            "realization": index,
+            "construction": cfg.construction,
+            "marginal": cfg.marginal.value,
+            "jitter_used": jitter,
+            "csv_file": csv_path.name,
+        })
     return 0
 
 
@@ -173,9 +158,6 @@ def cmd_surfaces(cfg: RunConfig) -> int:
     spec = cfg.surfaces
     model = cfg.model
     expansion = model.expansion()
-    out_path = Path(spec.output)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
 
     if spec.kind == "isotropic":
         if model.anisotropy is not None:
@@ -202,14 +184,11 @@ def cmd_surfaces(cfg: RunConfig) -> int:
         header = "h1,h2,rho,chi"
         first, second = h1_mesh, h2_mesh
 
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        for a, b, r, c in zip(first.ravel(), second.ravel(), rho.ravel(), chi.ravel()):
-            handle.write(f"{_format(a)},{_format(b)},{_format(r)},{_format(c)}\n")
-
-    sidecar = _sidecar_base(cfg, "surfaces")
-    sidecar.update({"kind": spec.kind, "csv_file": out_path.name})
-    _write_sidecar(out_path.with_suffix(".json"), sidecar)
+    out_path = Path(spec.output)
+    rows = _float_rows(first.ravel(), second.ravel(), rho.ravel(), chi.ravel())
+    _write_csv(out_path, header, rows)
+    _write_sidecar(out_path.with_suffix(".json"), cfg, "surfaces",
+                   {"kind": spec.kind, "csv_file": out_path.name})
     return 0
 
 
@@ -264,26 +243,20 @@ def cmd_validate(cfg: RunConfig) -> int:
     flagged = diff > half_width + 0.01
 
     report_path = Path(spec.report)
-    if report_path.parent != Path("."):
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("pair,h1,h2,u,y1,y2,empirical,closed_form,abs_diff,half_width_99,flagged\n")
-        for pi, ((h1, h2), u) in enumerate(spec.pairs):
-            for ti, (t1, t2) in enumerate(spec.thresholds):
-                cells = [_format(v) for v in (h1, h2, u, t1, t2, empirical[pi, ti],
-                                              theory[pi, ti], diff[pi, ti], half_width[pi, ti])]
-                handle.write(",".join([str(pi), *cells, str(int(flagged[pi, ti]))]) + "\n")
-
-    sidecar = _sidecar_base(cfg, "validate")
-    sidecar.update(
-        {
-            "construction": spec.construction,
-            "realizations": total,
-            "report_file": report_path.name,
-            "threshold_rule": "abs_diff > half_width_99 + 0.01",
-        }
+    rows = (
+        [str(pi), *map(_format, (h1, h2, u, t1, t2, empirical[pi, ti], theory[pi, ti],
+                                 diff[pi, ti], half_width[pi, ti])), str(int(flagged[pi, ti]))]
+        for pi, ((h1, h2), u) in enumerate(spec.pairs)
+        for ti, (t1, t2) in enumerate(spec.thresholds)
     )
-    _write_sidecar(report_path.with_suffix(".json"), sidecar)
+    _write_csv(report_path,
+               "pair,h1,h2,u,y1,y2,empirical,closed_form,abs_diff,half_width_99,flagged", rows)
+    _write_sidecar(report_path.with_suffix(".json"), cfg, "validate", {
+        "construction": spec.construction,
+        "realizations": total,
+        "report_file": report_path.name,
+        "threshold_rule": "abs_diff > half_width_99 + 0.01",
+    })
     return 4 if flagged.any() else 0
 
 
@@ -318,24 +291,14 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
 
-    try:
-        cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
     commands = {"simulate": cmd_simulate, "surfaces": cmd_surfaces, "validate": cmd_validate}
     try:
-        return commands[args.command](cfg)
+        return commands[args.command](load_config(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FactorizationError, NotPositiveDefiniteError, DomainError,
-            UnsupportedModelError, np.linalg.LinAlgError) as exc:
+    except (StormFieldsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except StormFieldsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

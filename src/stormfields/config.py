@@ -76,6 +76,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -150,15 +151,22 @@ _DEFAULTS = {
     },
 }
 
-_MODEL_KEYS = {
-    "gneiting": {"family", "a", "b", "nu", "gamma", "beta1", "beta2", "dimension", "anisotropy"},
-    "separable": {"family", "spatial_range", "temporal_decay", "dimension", "anisotropy"},
-    "ma_mixture": {"family", "atoms", "spatial", "temporal", "dimension", "anisotropy"},
-    "bernstein": {
-        "family", "spatial_scales", "spatial_exponents",
-        "temporal_scale", "temporal_exponent", "atoms", "anisotropy",
-    },
+# Marks a model key that has no default.
+_REQUIRED = object()
+
+# Each model family's keys besides family and anisotropy, with their defaults.
+# The gneiting values are the reference set of the documentation examples.
+_FAMILIES = {
+    "gneiting": {"a": 0.03, "b": 0.03, "nu": 1.5, "gamma": 1.0, "beta1": 1.0, "beta2": 1.0,
+                 "dimension": 2},
+    "separable": {"spatial_range": 1.0, "temporal_decay": 1.0, "dimension": 2},
+    "ma_mixture": {"atoms": _REQUIRED, "spatial": None, "temporal": None, "dimension": 2},
+    "bernstein": {"spatial_scales": _REQUIRED, "spatial_exponents": _REQUIRED,
+                  "temporal_scale": 1.0, "temporal_exponent": 1.0, "atoms": _REQUIRED},
 }
+_ANISOTROPY_DEFAULTS = {"a_max": 3.0, "a_min": 1.0, "angle_deg": 45.0}
+
+_CONSTRUCTIONS = ("husler_reiss", "storm")
 
 
 @dataclass(frozen=True)
@@ -268,6 +276,20 @@ def _get_string(section, key, path):
     return section[key]
 
 
+def _get_choice(section, key, path, choices):
+    if section[key] not in choices:
+        _fail(f"{path}.{key}", f"must be {' or '.join(map(repr, choices))}")
+    return section[key]
+
+
+def _get_csv_path(section, key, path):
+    """An output CSV path; its sidecar takes the ``.json`` suffix, so the CSV may not."""
+    value = _get_string(section, key, path)
+    if Path(value).suffix == ".json":
+        _fail(f"{path}.{key}", "must not end in .json, the suffix of its JSON sidecar")
+    return value
+
+
 def _merge(base, override):
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -311,23 +333,16 @@ def _build_base(section, path):
     )
 
 
-# reference parameter set used throughout the documentation examples
-_GNEITING_DEFAULTS = {
-    "a": 0.03, "b": 0.03, "nu": 1.5, "gamma": 1.0, "beta1": 1.0, "beta2": 1.0, "dimension": 2,
-}
-_SEPARABLE_DEFAULTS = {"spatial_range": 1.0, "temporal_decay": 1.0, "dimension": 2}
-_MA_MIXTURE_DEFAULTS = {"dimension": 2}
-_BERNSTEIN_DEFAULTS = {"temporal_scale": 1.0, "temporal_exponent": 1.0}
-_ANISOTROPY_DEFAULTS = {"a_max": 3.0, "a_min": 1.0, "angle_deg": 45.0}
-
-
 def _build_model(section) -> CorrelationModel:
     family = section.get("family")
-    if not isinstance(family, str) or family not in _MODEL_KEYS:
-        _fail("model.family", f"must be one of {sorted(_MODEL_KEYS)}, got {family!r}")
-    _reject_unknown(section, _MODEL_KEYS[family], "model")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        _fail("model.family", f"must be one of {sorted(_FAMILIES)}, got {family!r}")
+    _reject_unknown(section, {*_DEFAULTS["model"], "anisotropy", *_FAMILIES[family]}, "model")
+    merged = {**_FAMILIES[family], **section}
+    for key, value in merged.items():
+        if value is _REQUIRED:
+            _fail(f"model.{key}", f"is required for the {family} family")
     if family == "gneiting":
-        merged = {**_GNEITING_DEFAULTS, **section}
         model = GneitingModel(
             a=_get_number(merged, "a", "model", minimum=0.0, exclusive=True),
             b=_get_number(merged, "b", "model", minimum=0.0, exclusive=True),
@@ -338,33 +353,25 @@ def _build_model(section) -> CorrelationModel:
             dimension=_get_number(merged, "dimension", "model", minimum=1, integer=True),
         )
     elif family == "separable":
-        merged = {**_SEPARABLE_DEFAULTS, **section}
         model = SeparableModel(
             spatial_range=_get_number(merged, "spatial_range", "model", minimum=0.0, exclusive=True),
             temporal_decay=_get_number(merged, "temporal_decay", "model", minimum=0.0, exclusive=True),
             dimension=_get_number(merged, "dimension", "model", minimum=1, integer=True),
         )
     elif family == "ma_mixture":
-        if "atoms" not in section:
-            _fail("model.atoms", "is required for the ma_mixture family")
-        merged = {**_MA_MIXTURE_DEFAULTS, **section}
         model = MaMixtureModel(
-            atoms=_build_atoms(section["atoms"], "model.atoms"),
-            base_spatial=_build_base(section.get("spatial"), "model.spatial"),
-            base_temporal=_build_base(section.get("temporal"), "model.temporal"),
+            atoms=_build_atoms(merged["atoms"], "model.atoms"),
+            base_spatial=_build_base(merged["spatial"], "model.spatial"),
+            base_temporal=_build_base(merged["temporal"], "model.temporal"),
             dimension=_get_number(merged, "dimension", "model", minimum=1, integer=True),
         )
     else:
-        for key in ("spatial_scales", "spatial_exponents", "atoms"):
-            if key not in section:
-                _fail(f"model.{key}", "is required for the bernstein family")
-        merged = {**_BERNSTEIN_DEFAULTS, **section}
         model = BernsteinModel(
             spatial_scales=_get_numbers(merged, "spatial_scales", "model"),
             spatial_exponents=_get_numbers(merged, "spatial_exponents", "model"),
             temporal_scale=_get_number(merged, "temporal_scale", "model"),
             temporal_exponent=_get_number(merged, "temporal_exponent", "model"),
-            atoms=_build_atoms(section["atoms"], "model.atoms"),
+            atoms=_build_atoms(merged["atoms"], "model.atoms"),
         )
 
     aniso = section.get("anisotropy")
@@ -382,7 +389,7 @@ def _build_model(section) -> CorrelationModel:
 
 
 def _build_grid(section, dimension) -> SpaceTimeGrid:
-    _reject_unknown(section, {"shape", "spacing", "origin", "times"}, "grid")
+    _reject_unknown(section, {*_DEFAULTS["grid"], "origin"}, "grid")
     # set in the section itself, so that the run's echo records it
     section.setdefault("origin", [0.0] * dimension)
     return SpaceTimeGrid.regular(
@@ -394,9 +401,7 @@ def _build_grid(section, dimension) -> SpaceTimeGrid:
 
 
 def _build_storm(section, model) -> StormModelParams:
-    _reject_unknown(
-        section, {"sigma", "sigma_time_sq", "buffer", "intensity_floor", "from_model"}, "storm"
-    )
+    _reject_unknown(section, _DEFAULTS["storm"], "storm")
     buffer = _get_number(section, "buffer", "storm", minimum=0.0)
     floor = _get_number(section, "intensity_floor", "storm", minimum=0.0, exclusive=True)
     if not isinstance(section["from_model"], bool):
@@ -416,31 +421,22 @@ def _build_storm(section, model) -> StormModelParams:
 
 
 def _build_surfaces(section) -> SurfacesSpec:
-    _reject_unknown(
-        section, {"kind", "h_max", "u_max", "n_h", "n_u", "extent", "n_grid", "output"}, "surfaces"
-    )
-    kind = section["kind"]
-    if kind not in ("isotropic", "anisotropic"):
-        _fail("surfaces.kind", "must be 'isotropic' or 'anisotropic'")
+    _reject_unknown(section, _DEFAULTS["surfaces"], "surfaces")
     return SurfacesSpec(
-        kind=kind,
+        kind=_get_choice(section, "kind", "surfaces", ("isotropic", "anisotropic")),
         h_max=_get_number(section, "h_max", "surfaces", minimum=0.0, exclusive=True),
         u_max=_get_number(section, "u_max", "surfaces", minimum=0.0, exclusive=True),
         n_h=_get_number(section, "n_h", "surfaces", minimum=2, integer=True),
         n_u=_get_number(section, "n_u", "surfaces", minimum=2, integer=True),
         extent=_get_number(section, "extent", "surfaces", minimum=0.0, exclusive=True),
         n_grid=_get_number(section, "n_grid", "surfaces", minimum=2, integer=True),
-        output=_get_string(section, "output", "surfaces"),
+        output=_get_csv_path(section, "output", "surfaces"),
     )
 
 
 def _build_validate(section) -> ValidateSpec:
-    _reject_unknown(
-        section, {"construction", "n", "realizations", "pairs", "thresholds", "report"}, "validate"
-    )
-    construction = section["construction"]
-    if construction not in ("storm", "husler_reiss"):
-        _fail("validate.construction", "must be 'storm' or 'husler_reiss'")
+    _reject_unknown(section, _DEFAULTS["validate"], "validate")
+    construction = _get_choice(section, "construction", "validate", _CONSTRUCTIONS)
     realizations = _get_number(section, "realizations", "validate", minimum=1000, integer=True)
     pairs = []
     entries = section["pairs"]
@@ -467,7 +463,7 @@ def _build_validate(section) -> ValidateSpec:
         realizations=realizations,
         pairs=tuple(pairs),
         thresholds=tuple(thresholds),
-        report=_get_string(section, "report", "validate"),
+        report=_get_csv_path(section, "report", "validate"),
     )
 
 
@@ -481,11 +477,7 @@ def parse_config(mapping, overrides=()) -> RunConfig:
 
     if "seed" not in merged or merged["seed"] is None:
         raise ConfigError("seed: a master seed is required; implicit seeding is not allowed")
-    _reject_unknown(
-        merged,
-        {"seed", "workers", "model", "grid", "simulate", "storm", "surfaces", "validate"},
-        "config",
-    )
+    _reject_unknown(merged, {"seed", *_DEFAULTS}, "config")
     seed = _get_number(merged, "seed", "config", minimum=0, integer=True)
     workers = _get_number(merged, "workers", "config", minimum=1, integer=True)
 
@@ -501,10 +493,8 @@ def parse_config(mapping, overrides=()) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     sim = _expect_mapping(merged["simulate"], "simulate")
-    _reject_unknown(sim, {"construction", "marginal", "n", "realizations", "output_dir"}, "simulate")
-    construction = sim["construction"]
-    if construction not in ("husler_reiss", "storm"):
-        _fail("simulate.construction", "must be 'husler_reiss' or 'storm'")
+    _reject_unknown(sim, _DEFAULTS["simulate"], "simulate")
+    construction = _get_choice(sim, "construction", "simulate", _CONSTRUCTIONS)
     try:
         marginal = MarginalKind(str(sim["marginal"]).lower())
     except ValueError:

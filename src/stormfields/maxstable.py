@@ -237,6 +237,10 @@ _REACH_MARGIN = 1e-9
 # than this: on the few-point grid of ``validate``, or one event at a time.
 _REACH_MIN_PAIRS = 4096
 
+# Events drawn and folded per batch.  The field does not depend on it: see
+# ``simulate_storm_field``.
+_STORM_BATCH = 64
+
 
 def _event_maxima(field, intensities, centers, peak_times, points, time_points,
                   precision, inv_s3sq, peak):
@@ -287,8 +291,7 @@ def _event_maxima(field, intensities, centers, peak_times, points, time_points,
 
 
 def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
-                         seed: int, realization: int = 0,
-                         batch_size: int = 64) -> FieldSample:
+                         seed: int, realization: int = 0) -> FieldSample:
     """Simulate one storm-profile field realization.
 
     Event intensities are 1/Gamma_j for the arrival times Gamma_j of a
@@ -315,8 +318,6 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
     """
     if grid.dimension != 2:
         raise DomainError("the storm model is defined on a 2-d spatial domain")
-    if int(batch_size) < 1:
-        raise DomainError("batch_size must be >= 1")
     rng = substream(int(seed), STORM_PURPOSE, int(realization))
     points, times = grid.spatial_points, grid.time_points
 
@@ -341,7 +342,7 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
         # positions: the realization is independent of the batch size.
         # Folding the carried total into the first gap keeps the arrival
         # sums grouped left-to-right, hence bitwise batch-invariant too.
-        block = rng.uniform(size=(batch_size, 4))
+        block = rng.uniform(size=(_STORM_BATCH, 4))
         gaps = -np.log1p(-block[:, 0])
         gaps[0] += arrival_total
         # a zero first arrival (uniform draw of exactly 0.0) would divide out
@@ -357,7 +358,7 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
         # unchanged by the overshoot.
         current_min = field.min()
         stop = (intensities * peak <= current_min) | (intensities < floor)
-        cut = int(np.argmax(stop)) if stop.any() else batch_size
+        cut = int(np.argmax(stop)) if stop.any() else _STORM_BATCH
         if cut > 0:
             field = _event_maxima(
                 field, intensities[:cut], centers[:cut], peak_times[:cut],

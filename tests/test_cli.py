@@ -88,6 +88,14 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"seed": 1, "model": {"family": "gneiting", "aa": 2.0}})
+        # every section, a key of another model family and the top level
+        for section in ("grid", "simulate", "storm", "surfaces", "validate"):
+            with pytest.raises(ConfigError, match=f"{section}: unknown key"):
+                parse_config({"seed": 1, section: {"bogus": 1}})
+        with pytest.raises(ConfigError, match="model: unknown key"):
+            parse_config({"seed": 1, "model": {"family": "separable", "a": 1.0}})
+        with pytest.raises(ConfigError, match="config: unknown key"):
+            parse_config({"seed": 1, "bogus": 1})
 
     def test_field_level_message(self):
         with pytest.raises(ConfigError, match="model.a"):
@@ -423,6 +431,56 @@ class TestValidateCommand:
         main(["validate", "-c", str(cfg_path), "--workers", "1", "--set", "validate.report=r1.csv"])
         main(["validate", "-c", str(cfg_path), "--workers", "2", "--set", "validate.report=r2.csv"])
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+SIDECAR_KEYS = {
+    "simulate": {"realization", "construction", "marginal", "jitter_used", "csv_file"},
+    "surfaces": {"kind", "csv_file"},
+    "validate": {"construction", "realizations", "report_file", "threshold_rule"},
+}
+
+
+class TestOutputFiles:
+    def test_format_of_every_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        for command in SIDECAR_KEYS:
+            assert main([command, "-c", str(cfg_path)]) == 0
+        outputs = {
+            "simulate": sorted((tmp_path / "out").glob("*.csv")),
+            "surfaces": [tmp_path / "surfaces.csv"],
+            "validate": [tmp_path / "report.csv"],
+        }
+        for command, paths in outputs.items():
+            assert paths, command
+            for path in paths:
+                text = path.read_bytes().decode("utf-8")
+                assert text.endswith("\n") and "\r" not in text, path.name
+                header, *rows = text[:-1].split("\n")
+                assert rows, path.name
+                for row in rows:
+                    cells = row.split(",")
+                    assert len(cells) == len(header.split(",")), path.name
+                    if command == "validate":
+                        # the pair index and the flag are integers
+                        assert [cells[0], cells[-1]] == [str(int(cells[0])), str(int(cells[-1]))]
+                        cells = cells[1:-1]
+                    assert cells == [repr(float(cell)) for cell in cells], path.name
+                sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+                common = {"command", "config", "master_seed", "library_version"}
+                assert set(sidecar) == common | SIDECAR_KEYS[command], path.name
+
+    @pytest.mark.parametrize("command, key", [
+        ("validate", "validate.report"),
+        ("surfaces", "surfaces.output"),
+    ])
+    def test_json_output_path_rejected(self, tmp_path, monkeypatch, capsys, command, key):
+        # the sidecar takes the CSV's name with a .json suffix
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert main([command, "-c", str(cfg_path), "--set", f"{key}=out.json"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestJointCounts:

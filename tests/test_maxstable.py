@@ -252,11 +252,13 @@ class TestStormSimulator:
         assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
-    def test_batch_size_does_not_change_results(self):
+    def test_batch_size_does_not_change_results(self, monkeypatch):
         # overshoot events past the stopping point are pointwise no-ops
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
-        a = simulate_storm_field(self.PARAMS, grid, 13, 0, batch_size=16)
-        b = simulate_storm_field(self.PARAMS, grid, 13, 0, batch_size=256)
+        monkeypatch.setattr(maxstable, "_STORM_BATCH", 16)
+        a = simulate_storm_field(self.PARAMS, grid, 13, 0)
+        monkeypatch.setattr(maxstable, "_STORM_BATCH", 256)
+        b = simulate_storm_field(self.PARAMS, grid, 13, 0)
         assert_array_equal(a.values, b.values)
 
     def test_positive_values(self):
@@ -412,8 +414,11 @@ class TestLocalFold:
     def test_realizations_match_dense_reference(self, seed, monkeypatch):
         params = StormModelParams(np.eye(2), 1.0)
         grid = SpaceTimeGrid.regular(shape=(30, 30), times=(0.0, 1.0, 2.0, 3.0))
-        local = {b: simulate_storm_field(params, grid, seed, 0, batch_size=b).values
-                 for b in (1, 7, 64, 200)}
+        local = {}
+        # the last batch size is the default, at which the dense reference runs
+        for b in (1, 7, 200, 64):
+            monkeypatch.setattr(maxstable, "_STORM_BATCH", b)
+            local[b] = simulate_storm_field(params, grid, seed, 0).values
         monkeypatch.setattr(maxstable, "_event_maxima", dense_event_maxima)
         dense = simulate_storm_field(params, grid, seed, 0).values
         for values in local.values():
