@@ -129,8 +129,7 @@ def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: 
 
     factor = rescaled_factor(cfg.model, grid, n)
     make_block = partial(_hr_block, factor=factor, n=n, kind=kind, seed=cfg.seed)
-    delta_of = partial(delta_values, cfg.model.expansion(), aniso=cfg.model.anisotropy)
-    return make_block, factor.jitter_used, delta_of
+    return make_block, factor.jitter_used, partial(delta_values, cfg.model.expansion())
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -160,29 +159,27 @@ def cmd_surfaces(cfg: RunConfig) -> int:
     expansion = model.expansion()
 
     if spec.kind == "isotropic":
-        if model.anisotropy is not None:
+        if expansion.anisotropy is not None:
             raise ConfigError(
                 "surfaces.kind isotropic cannot be used with an anisotropic model"
             )
         radii = np.linspace(0.0, spec.h_max, spec.n_h)
         lags = np.linspace(0.0, spec.u_max, spec.n_u)
-        r_mesh, u_mesh = np.meshgrid(radii, lags, indexing="ij")
-        h_vec = np.zeros(r_mesh.shape + (model.dimension,))
-        h_vec[..., 0] = r_mesh
-        rho = np.asarray(model.rho(h_vec, u_mesh), dtype=float)
-        chi = tail_dependence(delta_values(expansion, h_vec, u_mesh))
+        first, second = np.meshgrid(radii, lags, indexing="ij")
+        h_vec = np.zeros(first.shape + (model.dimension,))
+        h_vec[..., 0] = first
+        u = second
         header = "hnorm,u,rho,chi"
-        first, second = r_mesh, u_mesh
     else:
-        if model.anisotropy is None:
+        if expansion.anisotropy is None:
             raise ConfigError("surfaces.kind anisotropic requires model.anisotropy")
         axis = np.linspace(-spec.extent, spec.extent, spec.n_grid)
-        h1_mesh, h2_mesh = np.meshgrid(axis, axis, indexing="ij")
-        h_vec = np.stack([h1_mesh, h2_mesh], axis=-1)
-        rho = np.asarray(model.rho(h_vec, 0.0), dtype=float)
-        chi = tail_dependence(delta_values(expansion, h_vec, 0.0, aniso=model.anisotropy))
+        first, second = np.meshgrid(axis, axis, indexing="ij")
+        h_vec = np.stack([first, second], axis=-1)
+        u = 0.0
         header = "h1,h2,rho,chi"
-        first, second = h1_mesh, h2_mesh
+    rho = np.asarray(model.rho(h_vec, u), dtype=float)
+    chi = tail_dependence(delta_values(expansion, h_vec, u))
 
     out_path = Path(spec.output)
     rows = _float_rows(first.ravel(), second.ravel(), rho.ravel(), chi.ravel())

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -301,13 +302,21 @@ def _merge(base, override):
     return out
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads an exponent float without a dot, such as 1e-6, as a float."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def _override(item):
     """``key.path=value`` as the nested mapping ``{key: {path: value}}``."""
     if "=" not in item:
         raise ConfigError(f"override {item!r} must have the form key.path=value")
     dotted, raw_value = (part.strip() for part in item.split("=", 1))
     try:
-        value = yaml.safe_load(raw_value)
+        value = yaml.load(raw_value, Loader=_Loader)
     except yaml.YAMLError as exc:
         _fail(dotted, f"unparseable override value: {exc}")
     for key in reversed(dotted.split(".")):
@@ -521,7 +530,7 @@ def load_config(path, overrides=()) -> RunConfig:
     """Read a YAML configuration file and validate it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            mapping = yaml.safe_load(handle)
+            mapping = yaml.load(handle, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -11,7 +11,8 @@ s_n = (log n)^(-1/a1), t_n = (log n)^(-1/a2) one has
 
     log(n) * (1 - rho(s_n*h, t_n*u))  ->  delta(h, u) = C1*||h||^a1 + C2*|u|^a2,
 
-and delta drives every closed-form dependence quantity downstream.
+and delta drives every closed-form dependence quantity downstream.  An anisotropic
+model's expansion carries its transform A, so delta is C1*||A h||^a1 + C2*|u|^a2.
 
 Note the *negative* exponents in s_n and t_n: they are required for
 s_n -> 0 and for the displayed limit to be finite (a positive exponent
@@ -21,7 +22,7 @@ would send both sequences to infinity and the limit to zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,7 +91,8 @@ class SmoothnessExpansion:
     ``spatial_weights`` switches the spatial term from the isotropic form
     C1*||h||^a1 to the componentwise form sum_i w_i*|h_i|^a1 produced by
     per-axis (Bernstein-type) constructions; in that case ``c_space`` is
-    the sum of the weights.
+    the sum of the weights.  ``anisotropy``, when set, is the geometric
+    transform A applied to spatial lags before either form is evaluated.
     """
 
     alpha_space: float
@@ -98,6 +100,7 @@ class SmoothnessExpansion:
     c_space: float
     c_time: float
     spatial_weights: tuple = None
+    anisotropy: AnisotropyTransform = None
 
     def __post_init__(self):
         a1 = _finite(self.alpha_space, "alpha_space")
@@ -140,11 +143,6 @@ class CorrelationModel:
 
     def expansion(self) -> SmoothnessExpansion:
         raise NotImplementedError
-
-    @property
-    def anisotropy(self):
-        """Spatial transform applied to lags, or None for isotropic models."""
-        return None
 
     def correlation(self, lag: SpaceTimeLag) -> float:
         """Evaluate rho at a single space-time lag."""
@@ -442,7 +440,7 @@ def apply_anisotropy(transform: AnisotropyTransform, h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnisotropicModel(CorrelationModel):
-    """A base model evaluated at transformed spatial lags A h."""
+    """A base model evaluated at spatial lags A h; its expansion carries the transform A."""
 
     base: CorrelationModel
     transform: AnisotropyTransform
@@ -455,24 +453,19 @@ class AnisotropicModel(CorrelationModel):
     def dimension(self) -> int:
         return 2
 
-    @property
-    def anisotropy(self) -> AnisotropyTransform:
-        return self.transform
-
     def rho(self, h, u):
         return self.base.rho(apply_anisotropy(self.transform, h), u)
 
     def expansion(self) -> SmoothnessExpansion:
-        """Expansion of the base model; pair it with ``anisotropy`` in delta()."""
-        return self.base.expansion()
+        return replace(self.base.expansion(), anisotropy=self.transform)
 
 
-def delta_values(expansion: SmoothnessExpansion, h, u, aniso: AnisotropyTransform = None):
+def delta_values(expansion: SmoothnessExpansion, h, u):
     """Vectorized limit function delta(h, u); ``h`` has the axes last."""
     h = np.asarray(h, dtype=float)
     u = np.abs(np.asarray(u, dtype=float))
-    if aniso is not None:
-        h = apply_anisotropy(aniso, h)
+    if expansion.anisotropy is not None:
+        h = apply_anisotropy(expansion.anisotropy, h)
     if expansion.spatial_weights is not None:
         if h.shape[-1] != len(expansion.spatial_weights):
             raise DomainError("lag dimension does not match expansion weights")
@@ -486,10 +479,9 @@ def delta_values(expansion: SmoothnessExpansion, h, u, aniso: AnisotropyTransfor
     return spatial + expansion.c_time * u ** expansion.alpha_time
 
 
-def delta(expansion: SmoothnessExpansion, lag: SpaceTimeLag,
-          aniso: AnisotropyTransform = None) -> float:
+def delta(expansion: SmoothnessExpansion, lag: SpaceTimeLag) -> float:
     """Limit function delta at one lag: C1*||A h||^a1 + C2*|u|^a2."""
-    return float(delta_values(expansion, lag.spatial(), lag.u, aniso))
+    return float(delta_values(expansion, lag.spatial(), lag.u))
 
 
 def scaling_sequences_from_log(expansion: SmoothnessExpansion, log_n: float):
@@ -515,8 +507,7 @@ def scaling_sequences(expansion: SmoothnessExpansion, n) -> tuple:
     return scaling_sequences_from_log(expansion, math.log(n))
 
 
-def variogram_to_covariance(expansion: SmoothnessExpansion, point1, point2,
-                            aniso: AnisotropyTransform = None) -> float:
+def variogram_to_covariance(expansion: SmoothnessExpansion, point1, point2) -> float:
     """Covariance of the origin-pinned Gaussian field with variogram delta.
 
     For space-time points p = (s, t), the field W with W(origin) = 0 and
@@ -531,7 +522,7 @@ def variogram_to_covariance(expansion: SmoothnessExpansion, point1, point2,
     s2, t2 = point2
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    d1 = float(delta_values(expansion, s1, t1, aniso))
-    d2 = float(delta_values(expansion, s2, t2, aniso))
-    d12 = float(delta_values(expansion, s1 - s2, float(t1) - float(t2), aniso))
+    d1 = float(delta_values(expansion, s1, t1))
+    d2 = float(delta_values(expansion, s2, t2))
+    d12 = float(delta_values(expansion, s1 - s2, float(t1) - float(t2)))
     return d1 + d2 - d12

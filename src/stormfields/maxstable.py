@@ -374,9 +374,10 @@ def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,
                             intensity_floor: float = DEFAULT_INTENSITY_FLOOR) -> StormModelParams:
     """Storm parameters whose dependence matches a quadratic expansion.
 
-    Requires alpha_space = alpha_time = 2 with isotropic spatial behaviour;
-    then sigma_space = I/(4*C1) and sigma_time_sq = 1/(4*C2) reproduce the
-    limit function delta(h, u) = C1*||h||^2 + C2*u^2 exactly.
+    Requires alpha_space = alpha_time = 2 and no componentwise weights; then
+    sigma_space = (A'A)^{-1}/(4*C1) and sigma_time_sq = 1/(4*C2) reproduce the
+    limit function delta(h, u) = C1*||A h||^2 + C2*u^2 exactly, where A is the
+    expansion's anisotropy (sigma_space = I/(4*C1) without one).
     """
     if expansion.spatial_weights is not None:
         raise UnsupportedModelError(
@@ -389,9 +390,10 @@ def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,
         )
     if expansion.c_space <= 0.0 or expansion.c_time <= 0.0:
         raise UnsupportedModelError("both expansion constants must be positive")
-    sigma = np.eye(2) / (4.0 * expansion.c_space)
+    aniso = expansion.anisotropy
+    sigma = np.eye(2) if aniso is None else np.linalg.inv(aniso.matrix.T @ aniso.matrix)
     return StormModelParams(
-        sigma_space=sigma,
+        sigma_space=sigma / (4.0 * expansion.c_space),
         sigma_time_sq=1.0 / (4.0 * expansion.c_time),
         buffer=buffer,
         intensity_floor=intensity_floor,

@@ -17,6 +17,7 @@ from stormfields import (
     SeparableModel,
     SpaceTimeGrid,
     StormModelParams,
+    delta_from_storm,
     husler_reiss_field,
     rescaled_factor,
     simulate_storm_field,
@@ -30,6 +31,7 @@ from stormfields.cli import (
     main,
 )
 from stormfields.config import load_config, parse_config
+from stormfields.covmodels import delta_values
 from stormfields.errors import ConfigError, FactorizationError
 
 BASE_CONFIG = {
@@ -157,6 +159,30 @@ class TestConfigParsing:
         cfg = parse_config({"seed": 1, "storm": {"from_model": True}})
         assert cfg.storm.sigma_space[0, 0] == pytest.approx(1.0 / (4 * 0.045))
         assert cfg.storm.sigma_time_sq == pytest.approx(1.0 / (4 * 0.03))
+
+    def test_storm_from_anisotropic_model(self):
+        # the storm built from an anisotropic model has the model's delta,
+        # including along the long axis h = (1, 1) at 45 degrees
+        cfg = parse_config({"seed": 1, "storm": {"from_model": True}, "model": {
+            "family": "gneiting", "anisotropy": {"a_max": 3.0, "a_min": 1.0, "angle_deg": 45.0}}})
+        rng = np.random.default_rng(17)
+        h = np.vstack([[1.0, 1.0], rng.uniform(-10.0, 10.0, size=(200, 2))])
+        u = np.concatenate([[0.0], rng.uniform(-10.0, 10.0, size=200)])
+        np.testing.assert_allclose(delta_from_storm(cfg.storm, h, u),
+                                   delta_values(cfg.model.expansion(), h, u), rtol=1e-12)
+        # C1 ||A h||^2 with C1 = b nu = 0.045 and ||A (1, 1)||^2 = 2/9
+        assert delta_from_storm(cfg.storm, (1.0, 1.0), 0.0) == pytest.approx(0.01, rel=1e-12)
+        # the isotropic sigma is unchanged to the bit
+        iso = parse_config({"seed": 1, "storm": {"from_model": True}})
+        np.testing.assert_array_equal(iso.storm.sigma_space, np.eye(2) / (4 * 0.045))
+
+    def test_exponent_float_without_dot(self, tmp_path):
+        # YAML 1.1 alone reads 1e-6 as a string; the config reader takes it as a float
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 1\nstorm: {intensity_floor: 1e-6}\n", encoding="utf-8")
+        assert load_config(path).storm.intensity_floor == 1e-6
+        cfg = load_config(path, ["storm.intensity_floor=1e-6", "storm.buffer=+2E0"])
+        assert (cfg.storm.intensity_floor, cfg.storm.buffer) == (1e-6, 2.0)
 
     def test_validate_thresholds_forms(self):
         cfg = parse_config(

@@ -1,5 +1,6 @@
 """Correlation-model catalogue: values, expansions, limits and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -185,7 +186,7 @@ class TestExpansions:
             assert errors[1] >= errors[2] - 1e-6
             assert errors[2] <= 0.05
 
-    @pytest.mark.parametrize("model", CATALOGUE[:4], ids=CATALOGUE_IDS[:4])
+    @pytest.mark.parametrize("model", CATALOGUE, ids=CATALOGUE_IDS)
     def test_scaling_limit_small_lags(self, model):
         # log(n) * (1 - rho(s_n h, t_n u)) agrees with delta(h, u) within 1%
         # at n = 1e8.  The convergence rate is O(delta / log n), so at this n
@@ -231,9 +232,10 @@ class TestDelta:
     def test_pure_rotation_matches_isotropic(self):
         rng = np.random.default_rng(3)
         rotation_only = AnisotropyTransform(a_max=1.0, a_min=1.0, angle=0.83)
+        rotated = dataclasses.replace(self.EXPANSION, anisotropy=rotation_only)
         for _ in range(20):
             lag = SpaceTimeLag(tuple(rng.uniform(-5, 5, 2)), rng.uniform(-5, 5))
-            assert delta(self.EXPANSION, lag, rotation_only) == pytest.approx(
+            assert delta(rotated, lag) == pytest.approx(
                 delta(self.EXPANSION, lag), rel=1e-12
             )
 
@@ -312,6 +314,15 @@ class TestAnisotropy:
             apply_anisotropy(ANISO_GNEITING.transform, np.array(lag.h)), lag.u
         )
         assert ANISO_GNEITING.correlation(lag) == pytest.approx(float(direct), rel=1e-15)
+
+    @pytest.mark.parametrize("base", [GNEITING, BERNSTEIN], ids=["gneiting", "bernstein"])
+    def test_expansion_applies_transform_bitwise(self, base):
+        model = AnisotropicModel(base=base, transform=ANISO_GNEITING.transform)
+        axis = np.linspace(-6.0, 6.0, 25)
+        h = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        u = np.linspace(-3.0, 3.0, 25)[:, None]
+        reference = delta_values(model.base.expansion(), apply_anisotropy(model.transform, h), u)
+        np.testing.assert_array_equal(delta_values(model.expansion(), h, u), reference)
 
 
 class TestVariogramToCovariance:
