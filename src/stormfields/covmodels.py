@@ -144,15 +144,6 @@ class CorrelationModel:
     def expansion(self) -> SmoothnessExpansion:
         raise NotImplementedError
 
-    def correlation(self, lag: SpaceTimeLag) -> float:
-        """Evaluate rho at a single space-time lag."""
-        if lag.dimension != self.dimension:
-            raise DomainError(
-                f"lag dimension {lag.dimension} does not match model dimension "
-                f"{self.dimension}"
-            )
-        return float(self.rho(lag.spatial(), lag.u))
-
 
 @dataclass(frozen=True)
 class GneitingModel(CorrelationModel):

@@ -2,9 +2,10 @@
 
 Sampling is dense: assemble the correlation matrix C over the flattened grid,
 factor C + 1e-12 I once (``JITTER``), and draw replications as L z with z
-i.i.d. standard normal.  Grid sizes are therefore memory bound; N = n_space *
-n_time up to roughly 12 000 points is practical, which covers typical
-visual-simulation grids (a 30 x 30 x 4 grid is N = 3 600) with room to spare.
+i.i.d. standard normal.  The assembly evaluates the model once per distinct
+time lag, and the factorization shifts C's diagonal in place, so the peak
+memory is three N x N arrays of doubles (N = n_space * n_time): C, numpy's
+work buffer and the factor L, 311 MB for a 30 x 30 x 4 grid (N = 3 600).
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ __all__ = [
 # Diagonal shift of the one factorization attempt.  It exceeds the rounding
 # error that leaves shrunken-lag correlation matrices slightly indefinite.
 JITTER = 1e-12
+
+# Side of the square tiles of the symmetry check: a pair of tiles fits in
+# cache, and the temporaries stay far below one N x N array.
+_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,18 +160,55 @@ def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
 
     spatial_lags = pts[:, None, :] - pts[None, :, :]
     out = np.empty((grid.size, grid.size))
+    # Time lags are keyed exactly, not rounded: scaled times can give
+    # 3t - 2t != t - 0 in the last bit, and each must keep its own rho.
+    first_block = {}
     for i in range(nt):
         for j in range(i + 1):
-            block = np.asarray(model.rho(spatial_lags, times[i] - times[j]), dtype=float)
-            out[i * ns:(i + 1) * ns, j * ns:(j + 1) * ns] = block
+            lag = times[i] - times[j]
+            rows, cols = slice(i * ns, (i + 1) * ns), slice(j * ns, (j + 1) * ns)
+            if lag in first_block:
+                block = out[first_block[lag]]
+            else:
+                block = np.asarray(model.rho(spatial_lags, lag), dtype=float)
+                first_block[lag] = (rows, cols)
+            out[rows, cols] = block
             if i != j:
                 # rho(h, u) = rho(-h, -u), so the mirrored block is the transpose
-                out[j * ns:(j + 1) * ns, i * ns:(i + 1) * ns] = block.T
+                out[cols, rows] = block.T
     return out
+
+
+def _asymmetry_and_scale(matrix: np.ndarray):
+    """``max|M - M'|`` and ``max|M|``, tile by tile with no N x N temporary.
+
+    Each lower tile (i, j) is compared with the transpose of upper tile
+    (j, i); a NaN anywhere propagates to both results, as with whole-matrix
+    reductions.
+    """
+    size = matrix.shape[0]
+    asymmetry, scale = [], []
+    for i in range(0, size, _TILE):
+        for j in range(0, i + 1, _TILE):
+            lower = matrix[i:i + _TILE, j:j + _TILE]
+            upper = matrix[j:j + _TILE, i:i + _TILE]
+            asymmetry.append(np.abs(lower - upper.T).max())
+            scale.append(np.abs(lower).max())
+            if i != j:
+                scale.append(np.abs(upper).max())
+    return float(np.max(asymmetry)), float(np.max(scale))
 
 
 def cholesky(matrix: np.ndarray) -> CholeskyFactor:
     """Lower Cholesky factor of ``matrix + JITTER * I``, recording ``JITTER``.
+
+    The jitter is added to a writeable input's diagonal in place, and the
+    saved diagonal is restored bit for bit before returning or raising; a
+    read-only input is copied first.  The symmetry check runs tile by tile,
+    so the peak is three N x N arrays: the input, numpy's work buffer and
+    the factor.  The factor is computed from the upper triangle.  For an
+    exactly symmetric matrix, such as every one ``build_covariance_matrix``
+    makes, that gives the same bits as the lower one.
 
     Raises
     ------
@@ -177,20 +219,27 @@ def cholesky(matrix: np.ndarray) -> CholeskyFactor:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("matrix must be square")
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > 1e-12 * scale:
+    asymmetry, scale = _asymmetry_and_scale(matrix)
+    if asymmetry > 1e-12 * max(1.0, scale):
         raise DomainError("matrix must be symmetric")
 
-    shifted = matrix.copy()
-    np.fill_diagonal(shifted, np.diag(matrix) + JITTER)
+    shifted = matrix if matrix.flags.writeable else matrix.copy()
+    diagonal = np.diag(shifted).copy()
+    np.fill_diagonal(shifted, diagonal + JITTER)
     try:
-        lower = np.linalg.cholesky(shifted)
+        # The transpose of a C-ordered matrix is Fortran-ordered, so numpy
+        # copies it into LAPACK's column-major buffer contiguously.
+        lower = np.linalg.cholesky(shifted.T)
     except np.linalg.LinAlgError:
+        lower = None
+    finally:
+        np.fill_diagonal(shifted, diagonal)
+    if lower is None:
         most_negative = float(np.linalg.eigvalsh(matrix)[0])
         raise FactorizationError(
             f"matrix is not positive definite at jitter {JITTER:g}; "
             f"most negative pivot (eigenvalue) is {most_negative:.6e}"
-        ) from None
+        )
     return CholeskyFactor(lower, JITTER)
 
 

@@ -1,6 +1,7 @@
 """Covariance assembly, the Cholesky factor of C + 1e-12 I, and Gaussian sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stormfields import (
     AnisotropicModel,
     AnisotropyTransform,
     BernsteinModel,
+    CorrelationModel,
     GneitingModel,
     MaMixtureModel,
     PoweredExponential,
@@ -17,9 +19,10 @@ from stormfields import (
     SpaceTimeGrid,
     build_covariance_matrix,
     cholesky,
+    scaling_sequences,
 )
 from stormfields.errors import DomainError, FactorizationError
-from stormfields.gaussfield import JITTER, sample_replications
+from stormfields.gaussfield import _TILE, JITTER, sample_replications
 from stormfields.streams import substream
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
@@ -44,6 +47,48 @@ CATALOGUE = {
         transform=AnisotropyTransform(a_max=3.0, a_min=1.0, angle=math.radians(45.0)),
     ),
 }
+
+
+# The time lags of hr_grid's shrunken covariance: Gneiting at n = 100.
+HR_GRID_SCALE = scaling_sequences(GNEITING.expansion(), 100)
+
+
+def per_block_reference(model, grid, scale=(1.0, 1.0)):
+    """The covariance as built before time-lag blocks were reused: one rho
+    call per block of the lower block triangle, mirrored by transposition."""
+    pts = grid.spatial_points * float(scale[0])
+    times = grid.time_points * float(scale[1])
+    ns = grid.n_space
+    spatial_lags = pts[:, None, :] - pts[None, :, :]
+    out = np.empty((grid.size, grid.size))
+    for i in range(grid.n_time):
+        for j in range(i + 1):
+            block = np.asarray(model.rho(spatial_lags, times[i] - times[j]), dtype=float)
+            out[i * ns:(i + 1) * ns, j * ns:(j + 1) * ns] = block
+            if i != j:
+                out[j * ns:(j + 1) * ns, i * ns:(i + 1) * ns] = block.T
+    return out
+
+
+class CountingModel(CorrelationModel):
+    """Delegates to a model and records the time lag of every rho call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dimension = base.dimension
+        self.time_lags = []
+
+    def rho(self, h, u):
+        self.time_lags.append(float(u))
+        return self.base.rho(h, u)
+
+    def expansion(self):
+        return self.base.expansion()
+
+
+def float_time_lags(times, t_scale):
+    scaled = np.asarray(times, dtype=float) * t_scale
+    return {float(scaled[i] - scaled[j]) for i in range(len(scaled)) for j in range(i + 1)}
 
 
 class TestSpaceTimeGrid:
@@ -109,6 +154,44 @@ class TestBuildCovariance:
         with pytest.raises(DomainError):
             build_covariance_matrix(GNEITING, grid)
 
+    # Irregular times: at hr_grid's t_n some scaled differences collide in
+    # floating point (so their block is reused) and some that are equal in
+    # exact arithmetic do not (so each keeps its own rho call).
+    IRREGULAR_TIMES = (0.0, 1.0, 2.0, 3.0, 4.5, 7.0)
+
+    def test_irregular_times_collide_and_do_not_collide(self):
+        pairs = len(self.IRREGULAR_TIMES) * (len(self.IRREGULAR_TIMES) + 1) // 2
+        exact = float_time_lags(self.IRREGULAR_TIMES, 1.0)  # integers and halves: exact
+        scaled = float_time_lags(self.IRREGULAR_TIMES, HR_GRID_SCALE[1])
+        assert len(exact) < len(scaled) < pairs
+
+    @pytest.mark.parametrize("scale", [(1.0, 1.0), HR_GRID_SCALE, (0.7, 0.1)],
+                             ids=["unscaled", "hr_grid", "other"])
+    @pytest.mark.parametrize("model", CATALOGUE.values(), ids=CATALOGUE.keys())
+    def test_bitwise_equal_to_per_block_loop(self, model, scale):
+        grid = SpaceTimeGrid.regular(shape=(4, 3), spacing=(1.0, 0.7),
+                                     times=self.IRREGULAR_TIMES)
+        matrix = build_covariance_matrix(model, grid, scale=scale)
+        assert matrix.tobytes() == per_block_reference(model, grid, scale).tobytes()
+
+    @pytest.mark.parametrize("times, scale, calls", [
+        ((0.0, 1.0, 2.0, 3.0), None, 4),
+        ((0.0, 1.0, 2.0, 3.0), HR_GRID_SCALE, 6),
+        (IRREGULAR_TIMES, HR_GRID_SCALE, None),
+        ((2.0, 0.0, 3.0, 1.0), HR_GRID_SCALE, None),
+    ], ids=["unscaled", "hr_grid", "irregular", "unsorted"])
+    def test_one_rho_call_per_distinct_time_lag(self, times, scale, calls):
+        model = CountingModel(GNEITING)
+        grid = SpaceTimeGrid.regular(shape=(3, 3), times=times)
+        matrix = build_covariance_matrix(model, grid, scale=scale)
+        t_scale = 1.0 if scale is None else scale[1]
+        expected = float_time_lags(times, t_scale)
+        assert sorted(model.time_lags) == sorted(expected)
+        if calls is not None:
+            assert len(model.time_lags) == calls
+        reference = per_block_reference(GNEITING, grid, (1.0, 1.0) if scale is None else scale)
+        assert matrix.tobytes() == reference.tobytes()
+
 
 class TestCholesky:
     def test_identity(self):
@@ -165,6 +248,75 @@ class TestCholesky:
         assert factor.jitter_used > 0.0
         expected = np.linalg.cholesky(matrix + factor.jitter_used * np.eye(grid.size))
         assert_array_equal(factor.lower, expected)
+
+    @staticmethod
+    def indefinite_with_inexact_diagonal():
+        # -0.0 + JITTER - JITTER is +0.0, so only restoring the saved
+        # diagonal gives the input back bit for bit
+        matrix = np.diag([1.0, -0.0, -1.0, 0.7])
+        diagonal = np.diag(matrix)
+        assert (diagonal + JITTER - JITTER).tobytes() != diagonal.tobytes()
+        return matrix
+
+    def test_input_unchanged_after_success(self):
+        grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
+        matrix = build_covariance_matrix(GNEITING, grid, scale=HR_GRID_SCALE)
+        before = matrix.copy()
+        cholesky(matrix)
+        assert matrix.tobytes() == before.tobytes()
+
+    def test_input_unchanged_after_factorization_error(self):
+        matrix = self.indefinite_with_inexact_diagonal()
+        before = matrix.copy()
+        with pytest.raises(FactorizationError, match="-1.0"):
+            cholesky(matrix)
+        assert matrix.tobytes() == before.tobytes()
+
+    def test_read_only_input_factors_to_the_same_bits(self):
+        grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
+        matrix = build_covariance_matrix(GNEITING, grid, scale=HR_GRID_SCALE)
+        writeable = cholesky(matrix.copy()).lower
+        matrix.setflags(write=False)
+        assert cholesky(matrix).lower.tobytes() == writeable.tobytes()
+        indefinite = self.indefinite_with_inexact_diagonal()
+        indefinite.setflags(write=False)
+        with pytest.raises(FactorizationError):
+            cholesky(indefinite)
+
+    @pytest.mark.parametrize("side", ["below", "at", "above"])
+    def test_symmetry_rule_in_an_off_diagonal_tile(self, side):
+        size = _TILE + 44
+        matrix = np.eye(size)
+        matrix[5, size - 10] = matrix[size - 10, 5] = 1e3  # max|M|, strictly upper
+        limit = 1e-12 * 1e3
+        perturbation = {"below": np.nextafter(limit, 0.0), "at": limit,
+                        "above": np.nextafter(limit, np.inf)}[side]
+        # (size - 20, 20) lies in lower tile (1, 0) only
+        assert size - 20 >= _TILE > 20
+        matrix[size - 20, 20] = perturbation
+        # the whole-matrix rule the tiles must reproduce
+        rejected = np.abs(matrix - matrix.T).max() > 1e-12 * max(1.0, np.abs(matrix).max())
+        assert rejected == (side == "above")
+        before = matrix.copy()
+        # |M_ij| = 1e3 > 1 on the diagonal, so an accepted matrix fails to factor
+        with pytest.raises(DomainError if rejected else FactorizationError):
+            cholesky(matrix)
+        assert matrix.tobytes() == before.tobytes()
+
+    def test_peak_memory_is_the_factor(self):
+        # 20 x 20 x 3: N = 1200, 8 N^2 = 11.5 MB.  A whole-matrix symmetry
+        # check and a shifted copy would each add another N x N array.
+        grid = SpaceTimeGrid.regular(shape=(20, 20), times=(0.0, 1.0, 2.0))
+        matrix = build_covariance_matrix(GNEITING, grid, scale=HR_GRID_SCALE)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            factor = cholesky(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor.lower.shape == (grid.size, grid.size)
+        assert peak - start <= 1.1 * 8 * grid.size ** 2
 
     @pytest.mark.parametrize("model", CATALOGUE.values(), ids=CATALOGUE.keys())
     def test_catalogued_models_factor_with_small_jitter(self, model):
