@@ -203,12 +203,13 @@ def cholesky(matrix: np.ndarray) -> CholeskyFactor:
     """Lower Cholesky factor of ``matrix + JITTER * I``, recording ``JITTER``.
 
     The jitter is added to a writeable input's diagonal in place, and the
-    saved diagonal is restored bit for bit before returning or raising; a
-    read-only input is copied first.  The symmetry check runs tile by tile,
-    so the peak is three N x N arrays: the input, numpy's work buffer and
-    the factor.  The factor is computed from the upper triangle.  For an
-    exactly symmetric matrix, such as every one ``build_covariance_matrix``
-    makes, that gives the same bits as the lower one.
+    saved diagonal is restored bit for bit before returning or raising, so
+    no other thread may read the input meanwhile; a read-only input is
+    copied first.  The symmetry check runs tile by tile, so the peak is
+    three N x N arrays: the input, numpy's work buffer and the factor.  The
+    factor is computed from the upper triangle.  For an exactly symmetric
+    matrix, such as every one ``build_covariance_matrix`` makes, that gives
+    the same bits as the lower one.
 
     Raises
     ------

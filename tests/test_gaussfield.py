@@ -250,7 +250,7 @@ class TestCholesky:
         assert_array_equal(factor.lower, expected)
 
     @staticmethod
-    def indefinite_with_inexact_diagonal():
+    def indefinite_with_negative_zero():
         # -0.0 + JITTER - JITTER is +0.0, so only restoring the saved
         # diagonal gives the input back bit for bit
         matrix = np.diag([1.0, -0.0, -1.0, 0.7])
@@ -266,7 +266,7 @@ class TestCholesky:
         assert matrix.tobytes() == before.tobytes()
 
     def test_input_unchanged_after_factorization_error(self):
-        matrix = self.indefinite_with_inexact_diagonal()
+        matrix = self.indefinite_with_negative_zero()
         before = matrix.copy()
         with pytest.raises(FactorizationError, match="-1.0"):
             cholesky(matrix)
@@ -278,7 +278,7 @@ class TestCholesky:
         writeable = cholesky(matrix.copy()).lower
         matrix.setflags(write=False)
         assert cholesky(matrix).lower.tobytes() == writeable.tobytes()
-        indefinite = self.indefinite_with_inexact_diagonal()
+        indefinite = self.indefinite_with_negative_zero()
         indefinite.setflags(write=False)
         with pytest.raises(FactorizationError):
             cholesky(indefinite)
