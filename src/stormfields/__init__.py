@@ -60,6 +60,7 @@ from .maxstable import (
     husler_reiss_field,
     rescaled_factor,
     simulate_storm_field,
+    storm_block,
 )
 
 __version__ = "0.1.0"
@@ -81,4 +82,5 @@ __all__ = [
     # maxstable
     "DEFAULT_INTENSITY_FLOOR", "MarginalKind", "StormModelParams", "equivalent_storm_params",
     "husler_reiss_block", "husler_reiss_field", "rescaled_factor", "simulate_storm_field",
+    "storm_block",
 ]

@@ -12,11 +12,12 @@ Three subcommands share one YAML configuration (see ``config``):
   discrepancies beyond a binomial 99% half-width plus 0.01.
 
 Both constructions run through one path: ``_construction`` alone tells them
-apart, by a block function and a dependence parameter delta(h, u) that the
-one closed form ``bivariate_cdf_hr`` takes.  ``_map_blocks`` runs the block
-function, one row per realization, over contiguous realization ranges,
-installed once per worker process.  A row depends only on its realization's
-Philox substream, so no output depends on the worker count or on the ranges.
+apart, by a block function (``husler_reiss_block`` or ``storm_block`` bound
+to all but its range of realizations) and a dependence parameter delta(h, u)
+that the one closed form ``bivariate_cdf_hr`` takes.  ``_map_blocks`` runs it
+over contiguous realization ranges, installed once per worker process.  A row
+depends only on its realization's Philox substream, so no output depends on
+the worker count or on the ranges.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-threshold breach.
@@ -43,7 +44,7 @@ from .maxstable import (
     MarginalKind,
     husler_reiss_block,
     rescaled_factor,
-    simulate_storm_field,
+    storm_block,
 )
 
 __all__ = ["main", "cmd_simulate", "cmd_surfaces", "cmd_validate"]
@@ -88,33 +89,24 @@ def _install_block(func) -> None:
     _WORKER_BLOCK = func
 
 
-def _run_installed_block(bounds):
-    return _WORKER_BLOCK(bounds)
+def _run_installed_block(realizations):
+    return _WORKER_BLOCK(realizations)
 
 
 def _map_blocks(func, total: int, workers: int) -> list:
-    """``func((start, stop))`` over ``min(total, 8 * workers)`` contiguous ranges of 0..total-1.
+    """``func(range)`` over ``min(total, 8 * workers)`` contiguous ranges of 0..total-1.
 
     With more than one worker and range, a process pool installs ``func`` once
     per worker (inherited under ``fork``, pickled once under ``spawn``) and
     each task sends only its range.  Results come back in range order.
     """
     edges = np.linspace(0, total, min(total, max(1, workers * 8)) + 1, dtype=int).tolist()
-    ranges = list(zip(edges, edges[1:]))
+    ranges = [range(start, stop) for start, stop in zip(edges, edges[1:])]
     if workers <= 1 or len(ranges) <= 1:
-        return [func(bounds) for bounds in ranges]
+        return [func(realizations) for realizations in ranges]
     with ProcessPoolExecutor(min(workers, len(ranges)), initializer=_install_block,
                              initargs=(func,)) as pool:
         return list(pool.map(_run_installed_block, ranges))
-
-
-# Block functions, at module level so that a spawned pool worker can unpickle them.
-def _hr_block(bounds, *, factor, n, kind, seed):
-    return husler_reiss_block(factor, n, kind, seed, range(*bounds))
-
-
-def _storm_block(bounds, *, params, grid, seed):
-    return np.array([simulate_storm_field(params, grid, seed, i).values for i in range(*bounds)])
 
 
 def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: MarginalKind):
@@ -124,11 +116,11 @@ def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: 
             raise ConfigError("the storm construction requires a 2-d spatial grid")
         if kind is not MarginalKind.FRECHET:
             raise ConfigError("the storm construction has Frechet marginals only")
-        make_block = partial(_storm_block, params=cfg.storm, grid=grid, seed=cfg.seed)
+        make_block = partial(storm_block, cfg.storm, grid, cfg.seed)
         return make_block, 0.0, partial(delta_from_storm, cfg.storm)
 
     factor = rescaled_factor(cfg.model, grid, n)
-    make_block = partial(_hr_block, factor=factor, n=n, kind=kind, seed=cfg.seed)
+    make_block = partial(husler_reiss_block, factor, n, kind, cfg.seed)
     return make_block, factor.jitter_used, partial(delta_values, cfg.model.expansion())
 
 
@@ -189,9 +181,9 @@ def cmd_surfaces(cfg: RunConfig) -> int:
     return 0
 
 
-def _joint_counts(bounds, *, make_block, site_pairs, thresholds):
-    """Realizations in ``bounds`` at or below (y1, y2), per site pair and threshold."""
-    values = make_block(bounds)
+def _joint_counts(realizations, *, make_block, site_pairs, thresholds):
+    """Realizations in the range at or below (y1, y2), per site pair and threshold."""
+    values = make_block(realizations)
     ia, ib = np.transpose(site_pairs)
     y1, y2 = np.asarray(thresholds, dtype=float).T
     return ((values[:, ia, None] <= y1) & (values[:, ib, None] <= y2)).sum(axis=0, dtype=np.int64)

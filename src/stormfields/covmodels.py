@@ -132,8 +132,9 @@ class CorrelationModel:
     """Common behaviour of the catalogued correlation families.
 
     Subclasses are immutable after construction and implement ``rho`` (the
-    vectorized correlation) and ``expansion``.  Evaluation is pure, so models
-    may be shared freely between worker processes.
+    vectorized correlation, even in u: every family takes |u|) and
+    ``expansion``.  Evaluation is pure, so models may be shared freely
+    between worker processes.
     """
 
     dimension: int = 2

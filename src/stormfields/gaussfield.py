@@ -2,7 +2,7 @@
 
 Sampling is dense: assemble the correlation matrix C over the flattened grid,
 factor C + 1e-12 I once (``JITTER``), and draw replications as L z with z
-i.i.d. standard normal.  The assembly evaluates the model once per distinct
+i.i.d. standard normal.  The assembly calls the model once, on every distinct
 time lag, and the factorization shifts C's diagonal in place, so the peak
 memory is three N x N arrays of doubles (N = n_space * n_time): C, numpy's
 work buffer and the factor L, 311 MB for a 30 x 30 x 4 grid (N = 3 600).
@@ -159,23 +159,14 @@ def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
     ns, nt = grid.n_space, grid.n_time
 
     spatial_lags = pts[:, None, :] - pts[None, :, :]
+    # One rho call on every distinct |t_i - t_j|, exact, not rounded: scaled
+    # times can give 3t - 2t != t - 0 in the last bit.  rho is even in u, so
+    # block (i, j) and its mirror (j, i) share one lag.
+    lags, which = np.unique(np.abs(times[:, None] - times[None, :]), return_inverse=True)
+    blocks = np.asarray(model.rho(spatial_lags, lags[:, None, None]), dtype=float)
     out = np.empty((grid.size, grid.size))
-    # Time lags are keyed exactly, not rounded: scaled times can give
-    # 3t - 2t != t - 0 in the last bit, and each must keep its own rho.
-    first_block = {}
-    for i in range(nt):
-        for j in range(i + 1):
-            lag = times[i] - times[j]
-            rows, cols = slice(i * ns, (i + 1) * ns), slice(j * ns, (j + 1) * ns)
-            if lag in first_block:
-                block = out[first_block[lag]]
-            else:
-                block = np.asarray(model.rho(spatial_lags, lag), dtype=float)
-                first_block[lag] = (rows, cols)
-            out[rows, cols] = block
-            if i != j:
-                # rho(h, u) = rho(-h, -u), so the mirrored block is the transpose
-                out[cols, rows] = block.T
+    for (i, j), k in zip(np.ndindex(nt, nt), which.ravel()):
+        out[i * ns:(i + 1) * ns, j * ns:(j + 1) * ns] = blocks[k]
     return out
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "rescaled_factor",
     "husler_reiss_block",
     "husler_reiss_field",
+    "storm_block",
     "simulate_storm_field",
     "equivalent_storm_params",
 ]
@@ -158,8 +159,6 @@ def husler_reiss_field(model: CorrelationModel, grid: SpaceTimeGrid, n: int,
     factor : CholeskyFactor, optional
         Reuse a precomputed ``rescaled_factor(model, grid, n)``.
     """
-    if int(n) < 2:
-        raise DomainError("n must be >= 2")
     if factor is None:
         factor = rescaled_factor(model, grid, n)
     if factor.size != grid.size:
@@ -237,12 +236,12 @@ _REACH_MARGIN = 1e-9
 # than this: on the few-point grid of ``validate``, or one event at a time.
 _REACH_MIN_PAIRS = 4096
 
-# Events drawn and folded per batch.  The field does not depend on it: see
-# ``simulate_storm_field``.
+# Events drawn and folded per batch of one realization.  No field depends on
+# it: see the batch loop of ``storm_block``.
 _STORM_BATCH = 64
 
 
-def _event_maxima(field, intensities, centers, peak_times, points, time_points,
+def _event_maxima(field, current_min, intensities, centers, peak_times, points, time_points,
                   precision, inv_s3sq, peak):
     """Fold a batch of events into the running pointwise maximum.
 
@@ -267,14 +266,14 @@ def _event_maxima(field, intensities, centers, peak_times, points, time_points,
 
     Every event is folded at every point instead while the field still has
     zeros, and when the batch has fewer than ``_REACH_MIN_PAIRS``
-    (event, point) pairs; either fold gives the same bytes.
+    (event, point) pairs; either fold gives the same bytes.  ``current_min``
+    is ``field.min()``, which the caller's stopping test has computed.
     """
     dx = centers[:, 0][:, None] - points[None, :, 0]
     dy = centers[:, 1][:, None] - points[None, :, 1]
     dt = peak_times[:, None] - time_points[None, :]
     sq = precision[0, 0] * dx * dx + 2.0 * precision[0, 1] * dx * dy + precision[1, 1] * dy * dy
     tq = inv_s3sq * dt * dt
-    current_min = field.min()
     with np.errstate(under="ignore"):
         if current_min > 0.0 and len(intensities) * field.size >= _REACH_MIN_PAIRS:
             thr = 2.0 * np.log(intensities * peak / current_min) + _REACH_MARGIN
@@ -290,9 +289,14 @@ def _event_maxima(field, intensities, centers, peak_times, points, time_points,
     return np.maximum(field, contrib.max(axis=0))
 
 
-def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
-                         seed: int, realization: int = 0) -> FieldSample:
-    """Simulate one storm-profile field realization.
+def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
+                realizations) -> np.ndarray:
+    """Values of several storm-profile realizations, one row per realization.
+
+    Row r is drawn from the Philox substream keyed by ``(seed, realization
+    r)``, so every row equals the single-realization result however the
+    realizations are grouped into blocks.  The event domain, precision and
+    peak density are computed once per block.
 
     Event intensities are 1/Gamma_j for the arrival times Gamma_j of a
     unit-rate Poisson process, compensated by the volume of the extended
@@ -310,15 +314,13 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
 
     The same bound drives the fold.  Once the field minimum m is positive,
     an event of intensity I can change the grid only inside its reach, the
-    ellipsoid ``quad < 2 log(I * peak_density / m)``; a batch of at least
-    4096 (event, point) pairs is evaluated only inside it, widened by an
-    absolute 1e-9.  Outside it the computed
-    contribution stays below m, so the field is bitwise the one a fold at
-    every point gives (see ``_event_maxima``).
+    ellipsoid ``quad < 2 log(I * peak_density / m)``, and a batch of at
+    least 4096 (event, point) pairs is evaluated only there, bitwise as a
+    fold at every point (see ``_event_maxima``).  A non-finite value in the
+    block raises ``DomainError``.
     """
     if grid.dimension != 2:
         raise DomainError("the storm model is defined on a 2-d spatial domain")
-    rng = substream(int(seed), STORM_PURPOSE, int(realization))
     points, times = grid.spatial_points, grid.time_points
 
     sds = np.sqrt(np.diag(params.sigma_space))
@@ -334,40 +336,52 @@ def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
     peak = params.peak_density
     floor = params.intensity_floor
 
-    field = np.zeros(grid.size)
-    arrival_total = 0.0
-    while True:
-        # One uniform block per batch, four entries per event in event
-        # order, so the k-th event always consumes the same stream
-        # positions: the realization is independent of the batch size.
-        # Folding the carried total into the first gap keeps the arrival
-        # sums grouped left-to-right, hence bitwise batch-invariant too.
-        block = rng.uniform(size=(_STORM_BATCH, 4))
-        gaps = -np.log1p(-block[:, 0])
-        gaps[0] += arrival_total
-        # a zero first arrival (uniform draw of exactly 0.0) would divide out
-        arrivals = np.maximum(np.cumsum(gaps), np.finfo(float).tiny)
-        arrival_total = float(arrivals[-1])
-        intensities = volume / arrivals
-        centers = lo + block[:, 1:3] * (hi - lo)
-        peak_times = t_lo + block[:, 3] * (t_hi - t_lo)
+    values = np.empty((len(realizations), grid.size))
+    for row, realization in enumerate(realizations):
+        rng = substream(int(seed), STORM_PURPOSE, int(realization))
+        field = np.zeros(grid.size)
+        arrival_total = 0.0
+        while True:
+            # One uniform block per batch, four entries per event in event
+            # order, so the k-th event always consumes the same stream
+            # positions: the realization is independent of the batch size.
+            # Folding the carried total into the first gap keeps the arrival
+            # sums grouped left-to-right, hence bitwise batch-invariant too.
+            block = rng.uniform(size=(_STORM_BATCH, 4))
+            gaps = -np.log1p(-block[:, 0])
+            gaps[0] += arrival_total
+            # a zero first arrival (uniform draw of exactly 0.0) would divide out
+            arrivals = np.maximum(np.cumsum(gaps), np.finfo(float).tiny)
+            arrival_total = float(arrivals[-1])
+            intensities = volume / arrivals
+            centers = lo + block[:, 1:3] * (hi - lo)
+            peak_times = t_lo + block[:, 3] * (t_hi - t_lo)
 
-        # The stopping test uses the minimum at batch start, which is
-        # conservative: any event processed past the exact stopping point
-        # cannot exceed the running maximum anywhere, so the field is
-        # unchanged by the overshoot.
-        current_min = field.min()
-        stop = (intensities * peak <= current_min) | (intensities < floor)
-        cut = int(np.argmax(stop)) if stop.any() else _STORM_BATCH
-        if cut > 0:
-            field = _event_maxima(
-                field, intensities[:cut], centers[:cut], peak_times[:cut],
-                points, times, precision, inv_s3sq, peak,
-            )
-        if stop.any():
-            break
+            # The stopping test uses the minimum at batch start, which is
+            # conservative: any event processed past the exact stopping point
+            # cannot exceed the running maximum anywhere, so the field is
+            # unchanged by the overshoot.
+            current_min = field.min()
+            stop = (intensities * peak <= current_min) | (intensities < floor)
+            cut = int(np.argmax(stop)) if stop.any() else _STORM_BATCH
+            if cut > 0:
+                field = _event_maxima(
+                    field, current_min, intensities[:cut], centers[:cut], peak_times[:cut],
+                    points, times, precision, inv_s3sq, peak,
+                )
+            if stop.any():
+                break
+        values[row] = field
+    if not np.all(np.isfinite(values)):
+        raise DomainError("field values must be finite")
+    return values
 
-    return FieldSample(grid=grid, values=field, seed_info=(int(seed), int(realization)))
+
+def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
+                         seed: int, realization: int = 0) -> FieldSample:
+    """One storm-profile field realization: the one-row case of ``storm_block``."""
+    values = storm_block(params, grid, seed, [realization])[0]
+    return FieldSample(grid=grid, values=values, seed_info=(int(seed), int(realization)))
 
 
 def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACED = {
     "gaussfield": ("build_covariance_matrix", "cholesky", "sample_replications"),
     "numerics": ("std_normal_cdf",),
-    "maxstable": ("transform_marginal", "rescaled_factor", "simulate_storm_field"),
+    "maxstable": ("transform_marginal", "rescaled_factor", "simulate_storm_field", "storm_block"),
     "extremal": ("bivariate_cdf_hr", "bivariate_cdf_smith"),
     "streams": ("substream",),
 }

@@ -18,18 +18,14 @@ from stormfields import (
     SpaceTimeGrid,
     StormModelParams,
     delta_from_storm,
+    husler_reiss_block,
     husler_reiss_field,
     rescaled_factor,
     simulate_storm_field,
+    storm_block,
 )
-from stormfields.cli import (
-    _hr_block,
-    _joint_counts,
-    _map_blocks,
-    _measurement_grid,
-    _storm_block,
-    main,
-)
+from stormfields import maxstable
+from stormfields.cli import _joint_counts, _map_blocks, _measurement_grid, main
 from stormfields.config import load_config, parse_config
 from stormfields.covmodels import delta_values
 from stormfields.errors import ConfigError, FactorizationError
@@ -451,6 +447,15 @@ class TestValidateCommand:
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert rows[1].split(",")[-1] == "1"
 
+    def test_non_finite_storm_value_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(maxstable, "_event_maxima",
+                            lambda field, *args: np.full(field.shape, np.nan))
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        # a floor this high stops every realization after a few dozen events
+        assert main(["validate", "-c", str(cfg_path), "--set", "storm.intensity_floor=20.0"]) == 3
+        assert "field values must be finite" in capsys.readouterr().err
+
     def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -534,7 +539,7 @@ class TestJointCounts:
         # each value of the block equals some threshold coordinate
         thresholds = [(1.0, 2.0), (0.5, 0.5), (2.0, 1.0), (1.0, 1.0), (3.0, 3.0)]
         counts = _joint_counts(
-            (1, 4), make_block=lambda bounds: block[slice(*bounds)],
+            range(1, 4), make_block=lambda realizations: block[realizations],
             site_pairs=site_pairs, thresholds=thresholds,
         )
         assert counts.dtype == np.int64
@@ -543,28 +548,29 @@ class TestJointCounts:
         np.testing.assert_array_equal(counts[0], [1, 1, 2, 1, 3])
 
     def test_block_helpers_of_both_constructions(self):
+        # the block functions as _construction binds them
         grid, site_pairs = _measurement_grid(self.PAIRS)
         factor = rescaled_factor(self.MODEL, grid, 50)
         params = StormModelParams(np.eye(2), 1.0)
         cases = {
             "husler_reiss": (
-                partial(_hr_block, factor=factor, n=50, kind=MarginalKind.FRECHET, seed=9),
+                partial(husler_reiss_block, factor, 50, MarginalKind.FRECHET, 9),
                 lambda r: husler_reiss_field(
                     self.MODEL, grid, 50, MarginalKind.FRECHET, 9, r, factor=factor
                 ).values,
             ),
             "storm": (
-                partial(_storm_block, params=params, grid=grid, seed=9),
+                partial(storm_block, params, grid, 9),
                 lambda r: simulate_storm_field(params, grid, 9, r).values,
             ),
         }
         for name, (make_block, single) in cases.items():
             rows = np.array([single(r) for r in range(3, 11)])
-            np.testing.assert_array_equal(make_block((3, 11)), rows, err_msg=name)
+            np.testing.assert_array_equal(make_block(range(3, 11)), rows, err_msg=name)
             # threshold 1 + pi sits exactly on the first row's values of pair pi
             thresholds = [(1.0, 1.0)] + [(rows[0, ia], rows[0, ib]) for ia, ib in site_pairs]
             counts = _joint_counts(
-                (3, 11), make_block=make_block, site_pairs=site_pairs, thresholds=thresholds,
+                range(3, 11), make_block=make_block, site_pairs=site_pairs, thresholds=thresholds,
             )
             np.testing.assert_array_equal(
                 counts, self.scalar_counts(rows, site_pairs, thresholds), err_msg=name
@@ -572,20 +578,21 @@ class TestJointCounts:
             assert np.all(np.diagonal(counts[:, 1:]) >= 1), name
 
 
-def _numbered_hr_block(bounds, **kwargs):
-    """The realization indices of ``bounds``, their values and the process that drew them."""
-    return np.arange(*bounds), _hr_block(bounds, **kwargs), os.getpid()
+def _numbered_block(realizations, make_block):
+    """The range handed in, its rows and the process that drew them."""
+    return realizations, make_block(realizations), os.getpid()
 
 
 @pytest.mark.parametrize("total, workers", [(1, 2), (4, 2), (5, 3), (37, 2)])
 def test_map_blocks_ranges_and_pool(total, workers):
     grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
     factor = rescaled_factor(TestJointCounts.MODEL, grid, 20)
-    func = partial(_numbered_hr_block, factor=factor, n=20, kind=MarginalKind.FRECHET, seed=5)
+    make_block = partial(husler_reiss_block, factor, 20, MarginalKind.FRECHET, 5)
+    func = partial(_numbered_block, make_block=make_block)
     pooled = _map_blocks(func, total, workers)
     assert len(pooled) == min(total, 8 * workers)
     # non-empty ranges whose indices, joined in order, are exactly 0..total-1
-    assert all(len(indices) > 0 for indices, _, _ in pooled)
+    assert all(isinstance(indices, range) and len(indices) > 0 for indices, _, _ in pooled)
     np.testing.assert_array_equal(np.concatenate([i for i, _, _ in pooled]), np.arange(total))
     # more than one range runs in worker processes, one range in this one
     pids = {pid for _, _, pid in pooled}
@@ -593,9 +600,7 @@ def test_map_blocks_ranges_and_pool(total, workers):
     serial = _map_blocks(func, total, 1)
     rows = np.concatenate([values for _, values, _ in pooled])
     np.testing.assert_array_equal(rows, np.concatenate([values for _, values, _ in serial]))
-    np.testing.assert_array_equal(
-        rows, _hr_block((0, total), factor=factor, n=20, kind=MarginalKind.FRECHET, seed=5)
-    )
+    np.testing.assert_array_equal(rows, make_block(range(total)))
 
 
 def test_version_flag(capsys):

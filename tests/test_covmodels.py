@@ -107,6 +107,13 @@ class TestCorrelationValues:
         assert np.all(values <= 1.0 + 1e-15)
         np.testing.assert_array_equal(values, mirrored)
 
+    @pytest.mark.parametrize("model", CATALOGUE, ids=CATALOGUE_IDS)
+    def test_even_in_u_bitwise(self, model):
+        # build_covariance_matrix evaluates each pair of mirrored blocks at |u| alone
+        rng = np.random.default_rng(32)
+        h, u = random_lags(rng, model.dimension, 1000)
+        assert model.rho(h, u).tobytes() == model.rho(h, -u).tobytes()
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         h, u = random_lags(rng, 2, 50)

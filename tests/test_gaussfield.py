@@ -71,7 +71,7 @@ def per_block_reference(model, grid, scale=(1.0, 1.0)):
 
 
 class CountingModel(CorrelationModel):
-    """Delegates to a model and records the time lag of every rho call."""
+    """Delegates to a model and records the time lags ``u`` of every rho call."""
 
     def __init__(self, base):
         self.base = base
@@ -79,7 +79,7 @@ class CountingModel(CorrelationModel):
         self.time_lags = []
 
     def rho(self, h, u):
-        self.time_lags.append(float(u))
+        self.time_lags.append(np.array(u, dtype=float))
         return self.base.rho(h, u)
 
     def expansion(self):
@@ -87,8 +87,9 @@ class CountingModel(CorrelationModel):
 
 
 def float_time_lags(times, t_scale):
+    """The distinct |t_i - t_j| of the scaled times, compared exactly."""
     scaled = np.asarray(times, dtype=float) * t_scale
-    return {float(scaled[i] - scaled[j]) for i in range(len(scaled)) for j in range(i + 1)}
+    return {float(abs(a - b)) for a in scaled for b in scaled}
 
 
 class TestSpaceTimeGrid:
@@ -174,21 +175,22 @@ class TestBuildCovariance:
         matrix = build_covariance_matrix(model, grid, scale=scale)
         assert matrix.tobytes() == per_block_reference(model, grid, scale).tobytes()
 
-    @pytest.mark.parametrize("times, scale, calls", [
+    @pytest.mark.parametrize("times, scale, lags", [
         ((0.0, 1.0, 2.0, 3.0), None, 4),
         ((0.0, 1.0, 2.0, 3.0), HR_GRID_SCALE, 6),
         (IRREGULAR_TIMES, HR_GRID_SCALE, None),
         ((2.0, 0.0, 3.0, 1.0), HR_GRID_SCALE, None),
     ], ids=["unscaled", "hr_grid", "irregular", "unsorted"])
-    def test_one_rho_call_per_distinct_time_lag(self, times, scale, calls):
+    def test_one_rho_call_per_distinct_time_lag(self, times, scale, lags):
+        # one rho call, whose u holds each distinct |t_i - t_j| exactly once
         model = CountingModel(GNEITING)
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=times)
         matrix = build_covariance_matrix(model, grid, scale=scale)
         t_scale = 1.0 if scale is None else scale[1]
-        expected = float_time_lags(times, t_scale)
-        assert sorted(model.time_lags) == sorted(expected)
-        if calls is not None:
-            assert len(model.time_lags) == calls
+        [u] = model.time_lags
+        assert sorted(u.ravel().tolist()) == sorted(float_time_lags(times, t_scale))
+        if lags is not None:
+            assert u.size == lags
         reference = per_block_reference(GNEITING, grid, (1.0, 1.0) if scale is None else scale)
         assert matrix.tobytes() == reference.tobytes()
 

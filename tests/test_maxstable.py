@@ -20,6 +20,7 @@ from stormfields import (
     husler_reiss_field,
     rescaled_factor,
     simulate_storm_field,
+    storm_block,
     SmoothnessExpansion,
     SpaceTimeLag,
 )
@@ -225,7 +226,7 @@ class TestStormSimulator:
         intensities, centers, peak_times = (np.array(c, dtype=float) for c in zip(*events))
         params = cls.PARAMS
         return maxstable._event_maxima(
-            np.zeros(grid.size), intensities, centers, peak_times, grid.spatial_points,
+            np.zeros(grid.size), 0.0, intensities, centers, peak_times, grid.spatial_points,
             grid.time_points, params.spatial_precision, 1.0 / params.sigma_time_sq,
             params.peak_density,
         )
@@ -268,18 +269,14 @@ class TestStormSimulator:
 
     def test_single_site_marginal_frechet(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
-        values = np.array([
-            simulate_storm_field(self.PARAMS, grid, 41, i).values[0] for i in range(4000)
-        ])
+        values = storm_block(self.PARAMS, grid, 41, range(4000))[:, 0]
         d = ks_distance(values, lambda y: np.exp(-1.0 / y))
         assert d <= 0.03
 
     def test_two_site_joint_against_closed_form(self):
         # spatial pair at lag (1, 0), u = 0, against the exact reduction
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0]))
-        fields = np.array([
-            simulate_storm_field(self.PARAMS, grid, 43, i).values for i in range(10_000)
-        ])
+        fields = storm_block(self.PARAMS, grid, 43, range(10_000))
         for y in (0.5, 1.0, 2.0):
             empirical = np.mean((fields[:, 0] <= y) & (fields[:, 1] <= y))
             theory = bivariate_cdf_smith(y, y, (1.0, 0.0), 0.0, self.PARAMS)
@@ -289,9 +286,7 @@ class TestStormSimulator:
         # (1/m) max of m independent copies has the same law as one copy
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
         m = 5
-        values = np.array([
-            simulate_storm_field(self.PARAMS, grid, 47, i).values[0] for i in range(m * 10_000)
-        ]).reshape(10_000, m)
+        values = storm_block(self.PARAMS, grid, 47, range(m * 10_000)).reshape(10_000, m)
         pooled = values.max(axis=1) / m
         base = np.sort(values[:, 0])
         rescaled = np.sort(pooled)
@@ -307,12 +302,11 @@ class TestStormSimulator:
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
         coarse = StormModelParams(np.eye(2), 1.0, intensity_floor=2.0)
         fine = StormModelParams(np.eye(2), 1.0, intensity_floor=0.2)
-        for i in range(30):
-            rough = simulate_storm_field(coarse, grid, 53, i)
-            refined = simulate_storm_field(fine, grid, 53, i)
-            bound = coarse.intensity_floor * coarse.peak_density
-            assert np.max(np.abs(refined.values - rough.values)) <= bound
-            assert np.all(refined.values >= rough.values - 1e-15)
+        rough = storm_block(coarse, grid, 53, range(30))
+        refined = storm_block(fine, grid, 53, range(30))
+        bound = coarse.intensity_floor * coarse.peak_density
+        assert np.max(np.abs(refined - rough)) <= bound
+        assert np.all(refined >= rough - 1e-15)
 
     def test_requires_2d_grid(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0, 0.0]]), np.array([0.0]))
@@ -324,9 +318,52 @@ class TestStormSimulator:
             StormModelParams(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 
 
-def dense_event_maxima(field, intensities, centers, peak_times, points, time_points,
-                       precision, inv_s3sq, norm_const):
-    """Reference fold: every event evaluated at every grid point."""
+def nan_event_maxima(field, *args):
+    """A fold that returns NaN at every point."""
+    return np.full(field.shape, np.nan)
+
+
+class TestStormBlock:
+    """Rows of ``storm_block`` are bitwise the one-realization fields."""
+
+    PARAMS = StormModelParams(np.array([[1.0, 0.3], [0.3, 0.8]]), 1.5)
+    GRIDS = {
+        # six points: fewer than _REACH_MIN_PAIRS (event, point) pairs per batch
+        "dense": SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+                               np.array([0.0, 1.0])),
+        # 300 points: at least _REACH_MIN_PAIRS pairs for 14 or more events
+        "reach": SpaceTimeGrid.regular(shape=(10, 10), spacing=0.5, times=(0.0, 1.0, 2.5)),
+    }
+    GROUPINGS = {
+        "one block": [range(12)],
+        "two blocks": [range(0, 5), range(5, 12)],
+        "one row each": [range(r, r + 1) for r in range(12)],
+        "unordered": [[7, 2, 11], [0, 9]],
+    }
+
+    @pytest.mark.parametrize("batch", [16, 64])
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_rows_equal_single_realizations(self, grid, batch, monkeypatch):
+        monkeypatch.setattr(maxstable, "_STORM_BATCH", batch)
+        single = np.array([simulate_storm_field(self.PARAMS, grid, 29, r).values
+                           for r in range(12)])
+        for name, groups in self.GROUPINGS.items():
+            for realizations in groups:
+                rows = storm_block(self.PARAMS, grid, 29, realizations)
+                assert rows.shape == (len(realizations), grid.size), name
+                assert rows.tobytes() == single[list(realizations)].tobytes(), name
+
+    def test_non_finite_value_raises(self, monkeypatch):
+        # a floor this high stops every realization after a few dozen events
+        params = StormModelParams(np.eye(2), 1.0, intensity_floor=20.0)
+        monkeypatch.setattr(maxstable, "_event_maxima", nan_event_maxima)
+        with pytest.raises(DomainError, match="field values must be finite"):
+            storm_block(params, self.GRIDS["dense"], 3, range(4))
+
+
+def dense_event_maxima(field, current_min, intensities, centers, peak_times, points,
+                       time_points, precision, inv_s3sq, norm_const):
+    """Reference fold: every event evaluated at every grid point; ``current_min`` is unused."""
     coords = np.tile(points, (len(time_points), 1))
     times = np.repeat(time_points, len(points))
     dx = centers[:, 0][:, None] - coords[None, :, 0]
@@ -360,7 +397,7 @@ class TestLocalFold:
 
     @staticmethod
     def fold_both(params, field, intensities, centers, peak_times, points, times):
-        args = (intensities, centers, peak_times, points, times,
+        args = (field.min(), intensities, centers, peak_times, points, times,
                 params.spatial_precision, 1.0 / params.sigma_time_sq, params.peak_density)
         return maxstable._event_maxima(field, *args), dense_event_maxima(field, *args)
 
