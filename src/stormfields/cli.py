@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -98,14 +99,15 @@ def _map_blocks(func, total: int, workers: int) -> list:
 
     With more than one worker and range, a process pool installs ``func`` once
     per worker (inherited under ``fork``, pickled once under ``spawn``) and
-    each task sends only its range.  Results come back in range order.
+    each task sends only its range.  The pool has at most one process per
+    range and per CPU.  Results come back in range order.
     """
     edges = np.linspace(0, total, min(total, max(1, workers * 8)) + 1, dtype=int).tolist()
     ranges = [range(start, stop) for start, stop in zip(edges, edges[1:])]
     if workers <= 1 or len(ranges) <= 1:
         return [func(realizations) for realizations in ranges]
-    with ProcessPoolExecutor(min(workers, len(ranges)), initializer=_install_block,
-                             initargs=(func,)) as pool:
+    processes = min(workers, len(ranges), os.cpu_count() or 1)
+    with ProcessPoolExecutor(processes, initializer=_install_block, initargs=(func,)) as pool:
         return list(pool.map(_run_installed_block, ranges))
 
 

@@ -9,66 +9,9 @@ reader, so a value of the wrong type is a ``ConfigError`` naming its dotted
 key.  Everything random flows from the mandatory ``seed`` key: a missing
 seed is a configuration error, never an implicit clock-based default.
 
-Schema (defaults shown; see README for the full description)::
-
-    seed: 20240            # required, no default
-    workers: 1
-
-    model:
-      family: gneiting     # gneiting | separable | ma_mixture | bernstein
-      a: 0.03              # gneiting: temporal scale
-      b: 0.03              # gneiting: spatial scale
-      nu: 1.5
-      gamma: 1.0
-      beta1: 1.0
-      beta2: 1.0
-      dimension: 2
-      # anisotropy:        # optional geometric anisotropy (d = 2)
-      #   a_max: 3.0
-      #   a_min: 1.0
-      #   angle_deg: 45.0
-
-    grid:
-      shape: [30, 30]
-      spacing: 1.0
-      origin: [0.0, 0.0]   # default: zeros of the model's dimension
-      times: [0.0, 1.0, 2.0, 3.0]
-
-    simulate:
-      construction: husler_reiss    # husler_reiss | storm
-      marginal: frechet             # frechet | gumbel | weibull
-      n: 100                        # Gaussian replications per maximum
-      realizations: 1
-      output_dir: output
-
-    storm:
-      sigma: [[1.0, 0.0], [0.0, 1.0]]
-      sigma_time_sq: 1.0
-      buffer: 4.0
-      intensity_floor: 1.4426950408889634e-06
-      from_model: false             # derive sigma/sigma_time_sq from model
-
-    surfaces:
-      kind: isotropic               # isotropic | anisotropic
-      h_max: 20.0
-      u_max: 30.0
-      n_h: 201
-      n_u: 301
-      extent: 12.0                  # anisotropic half-width
-      n_grid: 201
-      output: surfaces.csv
-
-    validate:
-      construction: storm           # storm | husler_reiss
-      n: 1000                       # replications (husler_reiss only)
-      realizations: 10000
-      pairs:
-        - {h: [0.0, 0.0], u: 0.0}
-        - {h: [1.0, 0.0], u: 0.0}
-        - {h: [0.0, 0.0], u: 2.0}
-        - {h: [1.0, 0.0], u: 1.0}
-      thresholds: [0.5, 1.0, 2.0]   # scalars mean y1 = y2; pairs allowed
-      report: report.csv
+The schema, with its defaults, is described in README's "Configuration
+schema".  Its source is the key tables below: each row holds one key's
+default and its reader, and ``_DEFAULTS`` is derived from them.
 """
 
 from __future__ import annotations
@@ -77,6 +20,7 @@ import copy
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -102,72 +46,6 @@ from .maxstable import (
 )
 
 __all__ = ["RunConfig", "SurfacesSpec", "ValidateSpec", "load_config", "parse_config"]
-
-_DEFAULTS = {
-    "workers": 1,
-    "model": {
-        "family": "gneiting",
-    },
-    "grid": {
-        "shape": [30, 30],
-        "spacing": 1.0,
-        "times": [0.0, 1.0, 2.0, 3.0],
-    },
-    "simulate": {
-        "construction": "husler_reiss",
-        "marginal": "frechet",
-        "n": 100,
-        "realizations": 1,
-        "output_dir": "output",
-    },
-    "storm": {
-        "sigma": [[1.0, 0.0], [0.0, 1.0]],
-        "sigma_time_sq": 1.0,
-        "buffer": 4.0,
-        "intensity_floor": DEFAULT_INTENSITY_FLOOR,
-        "from_model": False,
-    },
-    "surfaces": {
-        "kind": "isotropic",
-        "h_max": 20.0,
-        "u_max": 30.0,
-        "n_h": 201,
-        "n_u": 301,
-        "extent": 12.0,
-        "n_grid": 201,
-        "output": "surfaces.csv",
-    },
-    "validate": {
-        "construction": "storm",
-        "n": 1000,
-        "realizations": 10000,
-        "pairs": [
-            {"h": [0.0, 0.0], "u": 0.0},
-            {"h": [1.0, 0.0], "u": 0.0},
-            {"h": [0.0, 0.0], "u": 2.0},
-            {"h": [1.0, 0.0], "u": 1.0},
-        ],
-        "thresholds": [0.5, 1.0, 2.0],
-        "report": "report.csv",
-    },
-}
-
-# Marks a model key that has no default.
-_REQUIRED = object()
-
-# Each model family's keys besides family and anisotropy, with their defaults.
-# The gneiting values are the reference set of the documentation examples.
-_FAMILIES = {
-    "gneiting": {"a": 0.03, "b": 0.03, "nu": 1.5, "gamma": 1.0, "beta1": 1.0, "beta2": 1.0,
-                 "dimension": 2},
-    "separable": {"spatial_range": 1.0, "temporal_decay": 1.0, "dimension": 2},
-    "ma_mixture": {"atoms": _REQUIRED, "spatial": None, "temporal": None, "dimension": 2},
-    "bernstein": {"spatial_scales": _REQUIRED, "spatial_exponents": _REQUIRED,
-                  "temporal_scale": 1.0, "temporal_exponent": 1.0, "atoms": _REQUIRED},
-}
-_ANISOTROPY_DEFAULTS = {"a_max": 3.0, "a_min": 1.0, "angle_deg": 45.0}
-
-_CONSTRUCTIONS = ("husler_reiss", "storm")
 
 
 @dataclass(frozen=True)
@@ -223,11 +101,30 @@ def _expect_mapping(value, path):
     return value
 
 
-def _reject_unknown(section, allowed, path):
-    unknown = sorted(set(section) - set(allowed))
+# Marks a key that has no default.
+_REQUIRED = object()
+
+
+def _read(section, keys, path, required="is required"):
+    """Each key of the table ``keys``, read from ``section`` or its default, by its reader.
+
+    A ``_REQUIRED`` key that ``section`` lacks fails with the message ``required``.
+    """
+    section = _expect_mapping(section, path)
+    unknown = sorted(set(section) - set(keys))
     if unknown:
         _fail(path, f"unknown key(s): {', '.join(unknown)}")
+    values = {}
+    for key, (default, reader) in keys.items():
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            _fail(f"{path}.{key}", required)
+        values[key] = reader(value, f"{path}.{key}")
+    return values
 
+
+# Readers: ``reader(value, dotted_path)`` returns the value read or raises a
+# ConfigError naming ``dotted_path``.
 
 def _number(value, path, *, minimum=None, exclusive=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -248,8 +145,12 @@ def _number(value, path, *, minimum=None, exclusive=False, integer=False):
     return value
 
 
-def _get_number(section, key, path, **limits):
-    return _number(section[key], f"{path}.{key}", **limits)
+_POSITIVE = partial(_number, minimum=0.0, exclusive=True)
+
+
+def _count(minimum):
+    """The reader of an integer >= ``minimum``."""
+    return partial(_number, minimum=minimum, integer=True)
 
 
 def _numbers(value, path, *, length=None, **limits):
@@ -260,35 +161,156 @@ def _numbers(value, path, *, length=None, **limits):
     return tuple(_number(x, f"{path}[{i}]", **limits) for i, x in enumerate(value))
 
 
-def _get_numbers(section, key, path, **limits):
-    return _numbers(section[key], f"{path}.{key}", **limits)
+def _per_axis(value, path):
+    """A number, or a list of numbers (one per spatial axis)."""
+    return _numbers(value, path) if isinstance(value, list) else _number(value, path)
 
 
-def _get_scalar_or_list(section, key, path, length):
-    """A number, or a list of ``length`` numbers (one per spatial axis)."""
-    if isinstance(section[key], list):
-        return _get_numbers(section, key, path, length=length)
-    return _get_number(section, key, path)
+def _entries(value, path, what="a non-empty list"):
+    """``(dotted_path, entry)`` of each entry of the non-empty list ``value``."""
+    if not isinstance(value, list) or not value:
+        _fail(path, f"must be {what}")
+    return [(f"{path}[{i}]", entry) for i, entry in enumerate(value)]
 
 
-def _get_string(section, key, path):
-    if not isinstance(section[key], str):
-        _fail(f"{path}.{key}", "must be a string")
-    return section[key]
-
-
-def _get_choice(section, key, path, choices):
-    if section[key] not in choices:
-        _fail(f"{path}.{key}", f"must be {' or '.join(map(repr, choices))}")
-    return section[key]
-
-
-def _get_csv_path(section, key, path):
-    """An output CSV path; its sidecar takes the ``.json`` suffix, so the CSV may not."""
-    value = _get_string(section, key, path)
-    if Path(value).suffix == ".json":
-        _fail(f"{path}.{key}", "must not end in .json, the suffix of its JSON sidecar")
+def _string(value, path):
+    if not isinstance(value, str):
+        _fail(path, "must be a string")
     return value
+
+
+def _choice(value, path, choices):
+    if value not in choices:
+        _fail(path, f"must be {' or '.join(map(repr, choices))}")
+    return value
+
+
+def _csv_path(value, path):
+    """An output CSV path; its sidecar takes the ``.json`` suffix, so the CSV may not."""
+    if Path(_string(value, path)).suffix == ".json":
+        _fail(path, "must not end in .json, the suffix of its JSON sidecar")
+    return value
+
+
+def _flag(value, path):
+    if not isinstance(value, bool):
+        _fail(path, "must be true or false")
+    return value
+
+
+def _marginal(value, path):
+    try:
+        return MarginalKind(str(value).lower())
+    except ValueError:
+        _fail(path, "must be 'frechet', 'gumbel' or 'weibull'")
+
+
+def _atoms(value, path):
+    return tuple(_numbers(entry, entry_path, length=3) for entry_path, entry in
+                 _entries(value, path, "a non-empty list of [v1, v2, weight] triples"))
+
+
+def _base(value, path):
+    return PoweredExponential(**_read(value, _BASE, path))
+
+
+def _anisotropy(value, path):
+    a_max, a_min, angle_deg = _read(value, _ANISOTROPY, path).values()
+    return AnisotropyTransform(a_max=a_max, a_min=a_min, angle=math.radians(angle_deg))
+
+
+def _sigma(value, path):
+    if not isinstance(value, list) or len(value) != 2:
+        _fail(path, "must be a 2x2 matrix")
+    return np.array([_numbers(row, f"{path}[{i}]", length=2) for i, row in enumerate(value)])
+
+
+def _pairs(value, path):
+    return tuple(tuple(_read(entry, _PAIR, entry_path).values())
+                 for entry_path, entry in _entries(value, path))
+
+
+def _thresholds(value, path):
+    """Each entry as a ``(y1, y2)`` pair; a scalar means y1 = y2."""
+    return tuple(_numbers(entry, entry_path, length=2, minimum=0.0, exclusive=True)
+                 if isinstance(entry, list) else (_POSITIVE(entry, entry_path),) * 2
+                 for entry_path, entry in _entries(value, path))
+
+
+# Key tables: each key maps to ``(default, reader)``.
+
+_BASE = {"scale": (_REQUIRED, _POSITIVE), "exponent": (_REQUIRED, _POSITIVE)}
+_ANISOTROPY = {"a_max": (3.0, _number), "a_min": (1.0, _number), "angle_deg": (45.0, _number)}
+_PAIR = {"h": ([0.0, 0.0], partial(_numbers, length=2)), "u": (0.0, _number)}
+
+# Each model family's class and its keys besides family and anisotropy; the
+# gneiting values are the reference set of the documentation examples.
+_FAMILIES = {
+    "gneiting": (GneitingModel, {
+        "a": (0.03, _POSITIVE), "b": (0.03, _POSITIVE), "nu": (1.5, _POSITIVE),
+        "gamma": (1.0, _POSITIVE), "beta1": (1.0, _POSITIVE), "beta2": (1.0, _POSITIVE),
+        "dimension": (2, _count(1))}),
+    "separable": (SeparableModel, {
+        "spatial_range": (1.0, _POSITIVE), "temporal_decay": (1.0, _POSITIVE),
+        "dimension": (2, _count(1))}),
+    "ma_mixture": (MaMixtureModel, {
+        "atoms": (_REQUIRED, _atoms), "spatial": (_REQUIRED, _base),
+        "temporal": (_REQUIRED, _base), "dimension": (2, _count(1))}),
+    "bernstein": (BernsteinModel, {
+        "spatial_scales": (_REQUIRED, _numbers), "spatial_exponents": (_REQUIRED, _numbers),
+        "temporal_scale": (1.0, _number), "temporal_exponent": (1.0, _number),
+        "atoms": (_REQUIRED, _atoms)}),
+}
+# ma_mixture's keys that name its base_spatial and base_temporal arguments
+_ARGUMENTS = {"spatial": "base_spatial", "temporal": "base_temporal"}
+
+_CONSTRUCTIONS = ("husler_reiss", "storm")
+
+_TOP_LEVEL = {"seed": (_REQUIRED, _count(0)), "workers": (1, _count(1))}
+# grid.origin is not here: its default, zeros of the model's dimension, is
+# added by _build_grid.
+_SECTIONS = {
+    "model": {"family": ("gneiting", partial(_choice, choices=tuple(_FAMILIES)))},
+    "grid": {
+        "shape": ([30, 30], partial(_numbers, minimum=1, integer=True)),
+        "spacing": (1.0, _per_axis),
+        "times": ([0.0, 1.0, 2.0, 3.0], _numbers),
+    },
+    "simulate": {
+        "construction": ("husler_reiss", partial(_choice, choices=_CONSTRUCTIONS)),
+        "marginal": ("frechet", _marginal),
+        "n": (100, _count(2)),
+        "realizations": (1, _count(1)),
+        "output_dir": ("output", _string),
+    },
+    "storm": {
+        "sigma": ([[1.0, 0.0], [0.0, 1.0]], _sigma),
+        "sigma_time_sq": (1.0, _POSITIVE),
+        "buffer": (4.0, partial(_number, minimum=0.0)),
+        "intensity_floor": (DEFAULT_INTENSITY_FLOOR, _POSITIVE),
+        "from_model": (False, _flag),
+    },
+    "surfaces": {
+        "kind": ("isotropic", partial(_choice, choices=("isotropic", "anisotropic"))),
+        "h_max": (20.0, _POSITIVE), "u_max": (30.0, _POSITIVE),  # isotropic
+        "n_h": (201, _count(2)), "n_u": (301, _count(2)),
+        "extent": (12.0, _POSITIVE), "n_grid": (201, _count(2)),  # anisotropic
+        "output": ("surfaces.csv", _csv_path),
+    },
+    "validate": {
+        "construction": ("storm", partial(_choice, choices=_CONSTRUCTIONS)),
+        "n": (1000, _count(2)),
+        "realizations": (10000, _count(1000)),
+        "pairs": ([{"h": [0.0, 0.0], "u": 0.0}, {"h": [1.0, 0.0], "u": 0.0},
+                   {"h": [0.0, 0.0], "u": 2.0}, {"h": [1.0, 0.0], "u": 1.0}], _pairs),
+        "thresholds": ([0.5, 1.0, 2.0], _thresholds),
+        "report": ("report.csv", _csv_path),
+    },
+}
+
+_DEFAULTS = {"workers": _TOP_LEVEL["workers"][0],
+             **{name: {key: default for key, (default, _) in keys.items()}
+                for name, keys in _SECTIONS.items()}}
 
 
 def _merge(base, override):
@@ -324,156 +346,33 @@ def _override(item):
     return value
 
 
-def _build_atoms(entries, path):
-    if not isinstance(entries, list) or not entries:
-        _fail(path, "must be a non-empty list of [v1, v2, weight] triples")
-    return tuple(_numbers(entry, f"{path}[{i}]", length=3) for i, entry in enumerate(entries))
-
-
-def _build_base(section, path):
-    section = _expect_mapping(section, path)
-    _reject_unknown(section, {"scale", "exponent"}, path)
-    missing = {"scale", "exponent"} - set(section)
-    if missing:
-        _fail(path, f"missing key(s): {', '.join(sorted(missing))}")
-    return PoweredExponential(
-        scale=_get_number(section, "scale", path, minimum=0.0, exclusive=True),
-        exponent=_get_number(section, "exponent", path, minimum=0.0, exclusive=True),
-    )
-
-
 def _build_model(section) -> CorrelationModel:
-    family = section.get("family")
-    if not isinstance(family, str) or family not in _FAMILIES:
-        _fail("model.family", f"must be one of {sorted(_FAMILIES)}, got {family!r}")
-    _reject_unknown(section, {*_DEFAULTS["model"], "anisotropy", *_FAMILIES[family]}, "model")
-    merged = {**_FAMILIES[family], **section}
-    for key, value in merged.items():
-        if value is _REQUIRED:
-            _fail(f"model.{key}", f"is required for the {family} family")
-    if family == "gneiting":
-        model = GneitingModel(
-            a=_get_number(merged, "a", "model", minimum=0.0, exclusive=True),
-            b=_get_number(merged, "b", "model", minimum=0.0, exclusive=True),
-            nu=_get_number(merged, "nu", "model", minimum=0.0, exclusive=True),
-            gamma=_get_number(merged, "gamma", "model", minimum=0.0, exclusive=True),
-            beta1=_get_number(merged, "beta1", "model", minimum=0.0, exclusive=True),
-            beta2=_get_number(merged, "beta2", "model", minimum=0.0, exclusive=True),
-            dimension=_get_number(merged, "dimension", "model", minimum=1, integer=True),
-        )
-    elif family == "separable":
-        model = SeparableModel(
-            spatial_range=_get_number(merged, "spatial_range", "model", minimum=0.0, exclusive=True),
-            temporal_decay=_get_number(merged, "temporal_decay", "model", minimum=0.0, exclusive=True),
-            dimension=_get_number(merged, "dimension", "model", minimum=1, integer=True),
-        )
-    elif family == "ma_mixture":
-        model = MaMixtureModel(
-            atoms=_build_atoms(merged["atoms"], "model.atoms"),
-            base_spatial=_build_base(merged["spatial"], "model.spatial"),
-            base_temporal=_build_base(merged["temporal"], "model.temporal"),
-            dimension=_get_number(merged, "dimension", "model", minimum=1, integer=True),
-        )
-    else:
-        model = BernsteinModel(
-            spatial_scales=_get_numbers(merged, "spatial_scales", "model"),
-            spatial_exponents=_get_numbers(merged, "spatial_exponents", "model"),
-            temporal_scale=_get_number(merged, "temporal_scale", "model"),
-            temporal_exponent=_get_number(merged, "temporal_exponent", "model"),
-            atoms=_build_atoms(merged["atoms"], "model.atoms"),
-        )
-
-    aniso = section.get("anisotropy")
-    if aniso is not None:
-        aniso = _expect_mapping(aniso, "model.anisotropy")
-        _reject_unknown(aniso, _ANISOTROPY_DEFAULTS, "model.anisotropy")
-        aniso = {**_ANISOTROPY_DEFAULTS, **aniso}
-        transform = AnisotropyTransform(
-            a_max=_get_number(aniso, "a_max", "model.anisotropy"),
-            a_min=_get_number(aniso, "a_min", "model.anisotropy"),
-            angle=math.radians(_get_number(aniso, "angle_deg", "model.anisotropy")),
-        )
-        model = AnisotropicModel(base=model, transform=transform)
+    section = dict(_expect_mapping(section, "model"))
+    anisotropy = section.pop("anisotropy", None)
+    family = _read({"family": section.pop("family")}, _SECTIONS["model"], "model")["family"]
+    cls, keys = _FAMILIES[family]
+    values = _read(section, keys, "model", f"is required for the {family} family")
+    model = cls(**{_ARGUMENTS.get(key, key): value for key, value in values.items()})
+    if anisotropy is not None:
+        model = AnisotropicModel(base=model, transform=_anisotropy(anisotropy, "model.anisotropy"))
     return model
 
 
 def _build_grid(section, dimension) -> SpaceTimeGrid:
-    _reject_unknown(section, {*_DEFAULTS["grid"], "origin"}, "grid")
-    # set in the section itself, so that the run's echo records it
-    section.setdefault("origin", [0.0] * dimension)
-    return SpaceTimeGrid.regular(
-        shape=_get_numbers(section, "shape", "grid", length=dimension, minimum=1, integer=True),
-        spacing=_get_scalar_or_list(section, "spacing", "grid", dimension),
-        origin=_get_scalar_or_list(section, "origin", "grid", dimension),
-        times=_get_numbers(section, "times", "grid"),
-    )
+    origin = [0.0] * dimension
+    grid = _read(section, {**_SECTIONS["grid"], "origin": (origin, _per_axis)}, "grid")
+    section.setdefault("origin", origin)  # so that the run's echo records it
+    for key in ("shape", "spacing", "origin"):
+        if isinstance(grid[key], tuple) and len(grid[key]) != dimension:
+            _fail(f"grid.{key}", f"must list {dimension} value(s), one per spatial axis")
+    return SpaceTimeGrid.regular(**grid)
 
 
-def _build_storm(section, model) -> StormModelParams:
-    _reject_unknown(section, _DEFAULTS["storm"], "storm")
-    buffer = _get_number(section, "buffer", "storm", minimum=0.0)
-    floor = _get_number(section, "intensity_floor", "storm", minimum=0.0, exclusive=True)
-    if not isinstance(section["from_model"], bool):
-        _fail("storm.from_model", "must be true or false")
-    if section["from_model"]:
-        return equivalent_storm_params(model.expansion(), buffer=buffer, intensity_floor=floor)
-    sigma = section["sigma"]
-    if not isinstance(sigma, list) or len(sigma) != 2:
-        _fail("storm.sigma", "must be a 2x2 matrix")
-    return StormModelParams(
-        sigma_space=np.array([_numbers(row, f"storm.sigma[{i}]", length=2)
-                              for i, row in enumerate(sigma)]),
-        sigma_time_sq=_get_number(section, "sigma_time_sq", "storm", minimum=0.0, exclusive=True),
-        buffer=buffer,
-        intensity_floor=floor,
-    )
-
-
-def _build_surfaces(section) -> SurfacesSpec:
-    _reject_unknown(section, _DEFAULTS["surfaces"], "surfaces")
-    return SurfacesSpec(
-        kind=_get_choice(section, "kind", "surfaces", ("isotropic", "anisotropic")),
-        h_max=_get_number(section, "h_max", "surfaces", minimum=0.0, exclusive=True),
-        u_max=_get_number(section, "u_max", "surfaces", minimum=0.0, exclusive=True),
-        n_h=_get_number(section, "n_h", "surfaces", minimum=2, integer=True),
-        n_u=_get_number(section, "n_u", "surfaces", minimum=2, integer=True),
-        extent=_get_number(section, "extent", "surfaces", minimum=0.0, exclusive=True),
-        n_grid=_get_number(section, "n_grid", "surfaces", minimum=2, integer=True),
-        output=_get_csv_path(section, "output", "surfaces"),
-    )
-
-
-def _build_validate(section) -> ValidateSpec:
-    _reject_unknown(section, _DEFAULTS["validate"], "validate")
-    construction = _get_choice(section, "construction", "validate", _CONSTRUCTIONS)
-    realizations = _get_number(section, "realizations", "validate", minimum=1000, integer=True)
-    pairs = []
-    entries = section["pairs"]
-    if not isinstance(entries, list) or not entries:
-        _fail("validate.pairs", "must be a non-empty list")
-    for i, entry in enumerate(entries):
-        path = f"validate.pairs[{i}]"
-        entry = {"h": [0.0, 0.0], "u": 0.0, **_expect_mapping(entry, path)}
-        _reject_unknown(entry, {"h", "u"}, path)
-        pairs.append((_get_numbers(entry, "h", path, length=2), _get_number(entry, "u", path)))
-    thresholds = []
-    entries = section["thresholds"]
-    if not isinstance(entries, list) or not entries:
-        _fail("validate.thresholds", "must be a non-empty list")
-    for i, entry in enumerate(entries):
-        path = f"validate.thresholds[{i}]"
-        if isinstance(entry, list):
-            thresholds.append(_numbers(entry, path, length=2, minimum=0.0, exclusive=True))
-        else:
-            thresholds.append((_number(entry, path, minimum=0.0, exclusive=True),) * 2)
-    return ValidateSpec(
-        construction=construction,
-        n=_get_number(section, "n", "validate", minimum=2, integer=True),
-        realizations=realizations,
-        pairs=tuple(pairs),
-        thresholds=tuple(thresholds),
-        report=_get_csv_path(section, "report", "validate"),
-    )
+def _build_storm(storm, model) -> StormModelParams:
+    if storm.pop("from_model"):
+        return equivalent_storm_params(model.expansion(), buffer=storm["buffer"],
+                                       intensity_floor=storm["intensity_floor"])
+    return StormModelParams(sigma_space=storm.pop("sigma"), **storm)
 
 
 def parse_config(mapping, overrides=()) -> RunConfig:
@@ -484,46 +383,29 @@ def parse_config(mapping, overrides=()) -> RunConfig:
     for item in overrides:
         merged = _merge(merged, _override(item))
 
-    if "seed" not in merged or merged["seed"] is None:
-        raise ConfigError("seed: a master seed is required; implicit seeding is not allowed")
-    _reject_unknown(merged, {"seed", *_DEFAULTS}, "config")
-    seed = _get_number(merged, "seed", "config", minimum=0, integer=True)
-    workers = _get_number(merged, "workers", "config", minimum=1, integer=True)
+    top_level = _read({key: value for key, value in merged.items() if key not in _SECTIONS},
+                      _TOP_LEVEL, "config",
+                      "a master seed is required; implicit seeding is not allowed")
+
+    def read(name):
+        return _read(merged[name], _SECTIONS[name], name)
 
     try:
-        model = _build_model(_expect_mapping(merged["model"], "model"))
-        grid = _build_grid(_expect_mapping(merged["grid"], "grid"), model.dimension)
-        storm = _build_storm(_expect_mapping(merged["storm"], "storm"), model)
-        surfaces = _build_surfaces(_expect_mapping(merged["surfaces"], "surfaces"))
-        validate = _build_validate(_expect_mapping(merged["validate"], "validate"))
+        model = _build_model(merged["model"])
+        return RunConfig(
+            raw=merged,
+            **top_level,
+            model=model,
+            grid=_build_grid(merged["grid"], model.dimension),
+            storm=_build_storm(read("storm"), model),
+            surfaces=SurfacesSpec(**read("surfaces")),
+            validate=ValidateSpec(**read("validate")),
+            **read("simulate"),
+        )
     except ConfigError:
         raise
     except StormFieldsError as exc:
         raise ConfigError(str(exc)) from exc
-
-    sim = _expect_mapping(merged["simulate"], "simulate")
-    _reject_unknown(sim, _DEFAULTS["simulate"], "simulate")
-    construction = _get_choice(sim, "construction", "simulate", _CONSTRUCTIONS)
-    try:
-        marginal = MarginalKind(str(sim["marginal"]).lower())
-    except ValueError:
-        _fail("simulate.marginal", "must be 'frechet', 'gumbel' or 'weibull'")
-
-    return RunConfig(
-        raw=merged,
-        seed=seed,
-        workers=workers,
-        model=model,
-        grid=grid,
-        construction=construction,
-        marginal=marginal,
-        n=_get_number(sim, "n", "simulate", minimum=2, integer=True),
-        realizations=_get_number(sim, "realizations", "simulate", minimum=1, integer=True),
-        output_dir=_get_string(sim, "output_dir", "simulate"),
-        storm=storm,
-        surfaces=surfaces,
-        validate=validate,
-    )
 
 
 def load_config(path, overrides=()) -> RunConfig:

@@ -5,6 +5,7 @@ import math
 import os
 import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from stormfields import (
     simulate_storm_field,
     storm_block,
 )
-from stormfields import maxstable
+from stormfields import cli, maxstable
 from stormfields.cli import _joint_counts, _map_blocks, _measurement_grid, main
+from stormfields import config
 from stormfields.config import load_config, parse_config
 from stormfields.covmodels import delta_values
 from stormfields.errors import ConfigError, FactorizationError
@@ -200,10 +202,44 @@ class TestConfigParsing:
         ({"validate": {"pairs": [{"h": ["a", 0]}]}}, "validate.pairs[0].h[0]"),
         ({"validate": {"thresholds": [["a", 1]]}}, "validate.thresholds[0][0]"),
         ({"validate": {"thresholds": 3}}, "validate.thresholds"),
+        ({"surfaces": {"n_h": "x"}}, "surfaces.n_h"),
+        ({"simulate": {"output_dir": 3}}, "simulate.output_dir"),
+        ({"storm": {"from_model": "yes"}}, "storm.from_model"),
+        ({"model": {**MA_MIXTURE, "spatial": {"scale": "x", "exponent": 1.0}}},
+         "model.spatial.scale"),
+        ({"model": {"anisotropy": {"angle_deg": "x"}}}, "model.anisotropy.angle_deg"),
+        ({"workers": "x"}, "workers"),
     ])
     def test_wrong_type_names_its_key(self, mapping, key):
         with pytest.raises(ConfigError, match=re.escape(f"{key}: must be")):
             parse_config({"seed": 1, **mapping})
+
+    @pytest.mark.parametrize("model, key", [
+        ({k: v for k, v in MA_MIXTURE.items() if k != "atoms"}, "model.atoms"),
+        ({k: v for k, v in BERNSTEIN.items() if k != "spatial_scales"}, "model.spatial_scales"),
+        ({**MA_MIXTURE, "spatial": {"exponent": 1.0}}, "model.spatial.scale"),
+    ])
+    def test_missing_required_key_names_it(self, model, key):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: is required")):
+            parse_config({"seed": 1, "model": model})
+
+    def test_storm_from_model_still_reads_sigma(self):
+        # every storm key is read, also the ones from_model: true replaces
+        with pytest.raises(ConfigError, match=re.escape("storm.sigma: must be")):
+            parse_config({"seed": 1, "storm": {"from_model": True, "sigma": "x"}})
+
+    def test_readme_schema_is_the_tables(self):
+        # README's schema block is a valid config that names every key of the tables
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Configuration schema", 1)[1].split("```yaml\n", 1)[1]
+        schema = yaml.load(block.split("```", 1)[0], Loader=config._Loader)
+        parse_config(schema)
+        expected = {name: set(keys) for name, keys in config._SECTIONS.items()}
+        expected["model"] |= {*config._FAMILIES["gneiting"][1], "anisotropy"}
+        expected["grid"].add("origin")
+        assert set(schema) == {*config._TOP_LEVEL, *expected}
+        assert {name: set(schema[name]) for name in expected} == expected
+        assert set(schema["model"]["anisotropy"]) == set(config._ANISOTROPY)
 
     def test_validate_minimum_realizations(self):
         with pytest.raises(ConfigError, match="validate.realizations"):
@@ -601,6 +637,35 @@ def test_map_blocks_ranges_and_pool(total, workers):
     rows = np.concatenate([values for _, values, _ in pooled])
     np.testing.assert_array_equal(rows, np.concatenate([values for _, values, _ in serial]))
     np.testing.assert_array_equal(rows, make_block(range(total)))
+
+
+def test_map_blocks_caps_pool_at_cpu_count(monkeypatch):
+    # a fake pool records its size and runs the tasks here: no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_WORKER_BLOCK", None)
+    for cpus, expected in [(3, 3), (None, 1), (64, 40)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _map_blocks(lambda r: list(r), 40, 5000) == [[i] for i in range(40)]
+        assert sizes.pop() == expected
+    # the serial-or-pool choice still follows workers alone
+    assert sum(_map_blocks(lambda r: list(r), 40, 1), []) == list(range(40))
+    assert sizes == []
 
 
 def test_version_flag(capsys):
