@@ -95,41 +95,50 @@ def _run_installed_block(realizations):
 
 
 def _map_blocks(func, total: int, workers: int) -> list:
-    """``func(range)`` over ``min(total, 8 * workers)`` contiguous ranges of 0..total-1.
+    """``func(range)`` over contiguous ranges of 0..total-1, in range order.
 
-    With more than one worker and range, a process pool installs ``func`` once
-    per worker (inherited under ``fork``, pickled once under ``spawn``) and
-    each task sends only its range.  The pool has at most one process per
-    range and per CPU.  Results come back in range order.
+    With more than one worker, a process pool of ``min(workers, CPUs)``
+    processes installs ``func`` once per worker (inherited under ``fork``,
+    pickled once under ``spawn``), and each task sends only its range.  The
+    realizations are cut into ``min(total, 8 * processes)`` ranges, so a
+    worker count above the CPU count adds no tasks.
     """
-    edges = np.linspace(0, total, min(total, max(1, workers * 8)) + 1, dtype=int).tolist()
+    processes = min(workers, os.cpu_count() or 1)
+    edges = np.linspace(0, total, min(total, max(1, processes * 8)) + 1, dtype=int).tolist()
     ranges = [range(start, stop) for start, stop in zip(edges, edges[1:])]
     if workers <= 1 or len(ranges) <= 1:
         return [func(realizations) for realizations in ranges]
-    processes = min(workers, len(ranges), os.cpu_count() or 1)
-    with ProcessPoolExecutor(processes, initializer=_install_block, initargs=(func,)) as pool:
+    with ProcessPoolExecutor(min(processes, len(ranges)), initializer=_install_block,
+                             initargs=(func,)) as pool:
         return list(pool.map(_run_installed_block, ranges))
 
 
 def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: MarginalKind):
-    """``(make_block, jitter_used, delta_of(h, u))`` of construction ``name``."""
+    """``(make_block, factor_fields, delta_of(h, u))`` of construction ``name``.
+
+    ``factor_fields`` are the sidecar's ``factor_rank`` and ``factor_residual``,
+    the Gaussian factor's rank and largest residual variance (null for storm).
+    """
     if name == "storm":
         if grid.dimension != 2:
             raise ConfigError("the storm construction requires a 2-d spatial grid")
         if kind is not MarginalKind.FRECHET:
             raise ConfigError("the storm construction has Frechet marginals only")
         make_block = partial(storm_block, cfg.storm, grid, cfg.seed)
-        return make_block, 0.0, partial(delta_from_storm, cfg.storm)
+        no_factor = {"factor_rank": None, "factor_residual": None}
+        return make_block, no_factor, partial(delta_from_storm, cfg.storm)
 
     factor = rescaled_factor(cfg.model, grid, n)
     make_block = partial(husler_reiss_block, factor, n, kind, cfg.seed)
-    return make_block, factor.jitter_used, partial(delta_values, cfg.model.expansion())
+    factor_fields = {"factor_rank": factor.rank, "factor_residual": factor.residual}
+    return make_block, factor_fields, partial(delta_values, cfg.model.expansion())
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Write one `s1,..,t,value` CSV plus sidecar per realization."""
     out_dir = Path(cfg.output_dir)
-    make_block, jitter, _ = _construction(cfg, cfg.construction, cfg.grid, cfg.n, cfg.marginal)
+    make_block, factor_fields, _ = _construction(cfg, cfg.construction, cfg.grid, cfg.n,
+                                                 cfg.marginal)
     all_values = np.concatenate(_map_blocks(make_block, cfg.realizations, cfg.workers))
     coords, times = cfg.grid.flat_coordinates()
     header = ",".join([f"s{i + 1}" for i in range(cfg.grid.dimension)] + ["t", "value"])
@@ -140,7 +149,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "realization": index,
             "construction": cfg.construction,
             "marginal": cfg.marginal.value,
-            "jitter_used": jitter,
+            **factor_fields,
             "csv_file": csv_path.name,
         })
     return 0

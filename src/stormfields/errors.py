@@ -14,7 +14,8 @@ class NotPositiveDefiniteError(StormFieldsError):
 
 
 class FactorizationError(StormFieldsError):
-    """Cholesky factorization failed with the diagonal jitter added."""
+    """A correlation matrix could not be factored: it is not positive
+    (semi)definite within the factor's tolerance, or not finite."""
 
 
 class UnsupportedModelError(StormFieldsError):

@@ -29,8 +29,7 @@ from .gaussfield import (
     CholeskyFactor,
     FieldSample,
     SpaceTimeGrid,
-    build_covariance_matrix,
-    cholesky,
+    low_rank_factor,
     sample_replications,
 )
 from .numerics import std_normal_cdf
@@ -106,14 +105,14 @@ def normalize_maxima(max_values, n: int, kind: MarginalKind):
 
 
 def rescaled_factor(model: CorrelationModel, grid: SpaceTimeGrid, n: int) -> CholeskyFactor:
-    """Cholesky factor of the model correlation at lags shrunken by (s_n, t_n).
+    """Pivoted low-rank factor of the model correlation at lags shrunken by (s_n, t_n).
 
-    Exposed separately so that many realizations can reuse one factorization.
+    Exposed separately so that many realizations can reuse one factorization;
+    see ``low_rank_factor`` for its rank and residual.
     """
     if int(n) < 2:
         raise DomainError("n must be >= 2")
-    scale = scaling_sequences(model.expansion(), int(n))
-    return cholesky(build_covariance_matrix(model, grid, scale=scale))
+    return low_rank_factor(model, grid, scale=scaling_sequences(model.expansion(), int(n)))
 
 
 def husler_reiss_block(factor: CholeskyFactor, n: int, kind: MarginalKind, seed: int,

@@ -271,7 +271,8 @@ class TestSimulateCommand:
         meta = json.loads(meta_path.read_text())
         assert meta["master_seed"] == 4242
         assert meta["realization"] == 0
-        assert meta["jitter_used"] >= 0.0
+        assert meta["factor_residual"] <= 1e-8
+        assert 1 <= meta["factor_rank"] <= 32
         assert meta["config"]["simulate"]["n"] == 30
 
         # reconstruct grid coordinates from the config echo and compare
@@ -343,6 +344,8 @@ class TestSimulateCommand:
         rows = (tmp_path / "out" / "field_0000.csv").read_text().splitlines()
         values = np.array([float(r.split(",")[-1]) for r in rows[1:]])
         assert np.all(values > 0.0)
+        meta = json.loads((tmp_path / "out" / "field_0000.json").read_text())
+        assert meta["factor_rank"] is None and meta["factor_residual"] is None
 
     def test_gumbel_storm_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -501,7 +504,8 @@ class TestValidateCommand:
 
 
 SIDECAR_KEYS = {
-    "simulate": {"realization", "construction", "marginal", "jitter_used", "csv_file"},
+    "simulate": {"realization", "construction", "marginal", "factor_rank", "factor_residual",
+                 "csv_file"},
     "surfaces": {"kind", "csv_file"},
     "validate": {"construction", "realizations", "report_file", "threshold_rule"},
 }
@@ -659,10 +663,13 @@ def test_map_blocks_caps_pool_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_WORKER_BLOCK", None)
-    for cpus, expected in [(3, 3), (None, 1), (64, 40)]:
+    for cpus, processes in [(3, 3), (None, 1), (64, 40)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert _map_blocks(lambda r: list(r), 40, 5000) == [[i] for i in range(40)]
-        assert sizes.pop() == expected
+        ranges = _map_blocks(lambda r: list(r), 40, 5000)
+        # every realization once, in order, in at most 8 ranges per process
+        assert sum(ranges, []) == list(range(40))
+        assert len(ranges) <= 8 * processes
+        assert sizes.pop() == processes
     # the serial-or-pool choice still follows workers alone
     assert sum(_map_blocks(lambda r: list(r), 40, 1), []) == list(range(40))
     assert sizes == []

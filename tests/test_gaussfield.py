@@ -1,4 +1,5 @@
-"""Covariance assembly, the Cholesky factor of C + 1e-12 I, and Gaussian sampling."""
+"""Covariance assembly, the dense factor of C + 1e-12 I, the pivoted low-rank
+factor, and Gaussian sampling."""
 
 import math
 import tracemalloc
@@ -19,10 +20,17 @@ from stormfields import (
     SpaceTimeGrid,
     build_covariance_matrix,
     cholesky,
+    low_rank_factor,
     scaling_sequences,
 )
 from stormfields.errors import DomainError, FactorizationError
-from stormfields.gaussfield import _TILE, JITTER, sample_replications
+from stormfields.gaussfield import (
+    _PIVOT_BLOCK,
+    _TILE,
+    JITTER,
+    RANK_TOLERANCE,
+    sample_replications,
+)
 from stormfields.streams import substream
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
@@ -71,16 +79,20 @@ def per_block_reference(model, grid, scale=(1.0, 1.0)):
 
 
 class CountingModel(CorrelationModel):
-    """Delegates to a model and records the time lags ``u`` of every rho call."""
+    """Delegates to a model, records the time lags ``u`` of every rho call and
+    counts the values it returns."""
 
     def __init__(self, base):
         self.base = base
         self.dimension = base.dimension
         self.time_lags = []
+        self.evaluations = 0
 
     def rho(self, h, u):
         self.time_lags.append(np.array(u, dtype=float))
-        return self.base.rho(h, u)
+        values = self.base.rho(h, u)
+        self.evaluations += np.size(values)
+        return values
 
     def expansion(self):
         return self.base.expansion()
@@ -330,6 +342,87 @@ class TestCholesky:
         assert factor.jitter_used <= 1e-8
         reconstructed = factor.lower @ factor.lower.T
         assert np.max(np.abs(reconstructed - matrix)) <= 1e-8 * grid.size
+
+
+class ConstantModel(CorrelationModel):
+    """Correlation ``off_diagonal`` between any two distinct sites."""
+
+    def __init__(self, off_diagonal):
+        self.off_diagonal = off_diagonal
+
+    def rho(self, h, u):
+        same = (np.abs(np.asarray(h)).sum(axis=-1) == 0.0) & (np.asarray(u) == 0.0)
+        return np.where(same, 1.0, self.off_diagonal)
+
+
+class TestLowRankFactor:
+    GRID = SpaceTimeGrid.regular(shape=(20, 20), times=(0.0, 1.0, 2.0))  # N = 1200
+    # at hr_grid's lags the smooth models are numerically low-rank; the
+    # powered-exponential ones (ma_mixture, bernstein) keep full rank
+    LOW_RANK = ("gneiting", "separable", "aniso_gneiting")
+
+    @pytest.mark.parametrize("name", CATALOGUE)
+    def test_reproduces_the_dense_matrix(self, name):
+        model = CountingModel(CATALOGUE[name])
+        factor = low_rank_factor(model, self.GRID, HR_GRID_SCALE)
+        size = self.GRID.size
+        matrix = build_covariance_matrix(CATALOGUE[name], self.GRID, scale=HR_GRID_SCALE)
+        assert factor.lower.shape == (size, factor.rank)
+        assert np.abs(factor.lower @ factor.lower.T - matrix).max() <= RANK_TOLERANCE
+        residual = np.diag(matrix) - np.einsum("ij,ij->i", factor.lower, factor.lower)
+        # tracked by r subtractions, each rounded at unit scale
+        assert factor.residual == pytest.approx(residual.max(),
+                                                abs=factor.rank * np.finfo(float).eps)
+        assert factor.residual <= RANK_TOLERANCE
+        assert factor.jitter_used == 0.0
+        if name in self.LOW_RANK:
+            assert factor.rank < size
+        # rho runs on the accepted pivots' columns and a b x b block per step
+        assert model.evaluations <= size * (factor.rank + _PIVOT_BLOCK)
+
+    def test_full_rank_on_the_validate_grid(self):
+        # the six sites of the default validate pairs at n = 1000
+        grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0, 2.0]))
+        scale = scaling_sequences(GNEITING.expansion(), 1000)
+        factor = low_rank_factor(GNEITING, grid, scale)
+        assert factor.rank == grid.size == 6
+        matrix = build_covariance_matrix(GNEITING, grid, scale=scale)
+        assert np.abs(factor.lower @ factor.lower.T - matrix).max() <= 1e-14
+
+    def test_first_pivot_is_the_lowest_flat_index(self):
+        # every residual variance starts at 1, so site 0 is the first pivot
+        # and column 0 of the factor is column 0 of C
+        factor = low_rank_factor(GNEITING, self.GRID, HR_GRID_SCALE)
+        matrix = build_covariance_matrix(GNEITING, self.GRID, scale=HR_GRID_SCALE)
+        assert_allclose(factor.lower[:, 0], matrix[:, 0], rtol=1e-15, atol=0.0)
+        again = low_rank_factor(GNEITING, self.GRID, HR_GRID_SCALE)
+        assert again.lower.tobytes() == factor.lower.tobytes()
+
+    def test_indefinite_raises(self):
+        # three sites at correlation -0.9: C has the eigenvalue 1 - 1.8
+        grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.0]))
+        with pytest.raises(FactorizationError, match="not positive semidefinite"):
+            low_rank_factor(ConstantModel(-0.9), grid)
+        with pytest.raises(FactorizationError):
+            cholesky(build_covariance_matrix(ConstantModel(-0.9), grid))
+        assert low_rank_factor(ConstantModel(0.5), grid).rank == 3
+
+    def test_non_finite_correlation_raises(self):
+        grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0]))
+        with pytest.raises(FactorizationError, match="non-finite"):
+            low_rank_factor(ConstantModel(np.nan), grid)
+
+    def test_dimension_mismatch(self):
+        grid = SpaceTimeGrid(np.array([[0.0, 0.0, 0.0]]), np.array([0.0]))
+        with pytest.raises(DomainError):
+            low_rank_factor(GNEITING, grid)
+
+    def test_draws_rank_normals_per_replication(self):
+        factor = low_rank_factor(GNEITING, self.GRID, HR_GRID_SCALE)
+        draws = sample_replications(factor, substream(5, 0, 0), 3)
+        z = substream(5, 0, 0).standard_normal((factor.rank, 3))
+        assert draws.shape == (3, self.GRID.size)
+        assert_array_equal(draws, (factor.lower @ z).T)
 
 
 class TestSampling:
