@@ -3,8 +3,8 @@
 The package has three layers:
 
 * correlation models for the underlying Gaussian fields and their small-lag
-  expansions (``covmodels``), backed by dense Gaussian sampling
-  (``gaussfield``);
+  expansions (``covmodels``), sampled through a pivoted low-rank Cholesky
+  factor of their correlation matrix (``gaussfield``);
 * the two max-stable constructions, rescaled Gaussian maxima and the
   storm-profile simulator (``maxstable``);
 * closed-form dependence quantities that validate simulation against theory
@@ -50,7 +50,7 @@ from .extremal import (
     smith_cdf_temporal,
     tail_dependence,
 )
-from .gaussfield import SpaceTimeGrid, build_covariance_matrix, cholesky, low_rank_factor
+from .gaussfield import SpaceTimeGrid, build_covariance_matrix, low_rank_factor
 from .maxstable import (
     DEFAULT_INTENSITY_FLOOR,
     MarginalKind,
@@ -78,7 +78,7 @@ __all__ = [
     "bivariate_cdf_hr", "bivariate_cdf_smith", "delta_from_storm", "exponent_measure",
     "pickands", "smith_cdf_spatial", "smith_cdf_temporal", "tail_dependence",
     # gaussfield
-    "SpaceTimeGrid", "build_covariance_matrix", "cholesky", "low_rank_factor",
+    "SpaceTimeGrid", "build_covariance_matrix", "low_rank_factor",
     # maxstable
     "DEFAULT_INTENSITY_FLOOR", "MarginalKind", "StormModelParams", "equivalent_storm_params",
     "husler_reiss_block", "husler_reiss_field", "rescaled_factor", "simulate_storm_field",

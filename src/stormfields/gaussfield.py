@@ -4,12 +4,11 @@ A field is drawn as L z with z i.i.d. standard normal, where L L' reproduces
 the correlation matrix C over the flattened grid.  ``low_rank_factor`` builds
 an (N, r) factor by diagonally pivoted Cholesky without forming C: it calls
 the model on the pivot columns only and stops once every site's residual
-variance is at most ``RANK_TOLERANCE``.  At the shrunken lags of the
-rescaled-maxima construction C is numerically low-rank (rank 1,214 of
-N = 3,600 on a 30 x 30 x 4 grid, a 35 MB factor), so this is the sampler's
-factor.  ``build_covariance_matrix`` and ``cholesky`` (the factor of
-C + 1e-12 I, ``JITTER``) remain the dense path for explicit matrices; it
-peaks at three N x N arrays, 311 MB for that grid.
+variance is at most ``RANK_TOLERANCE``.  It needs no diagonal shift, because
+pivoting handles the semidefinite and numerically singular matrices of the
+rescaled-maxima construction natively (rank 1,214 of N = 3,600 on a
+30 x 30 x 4 grid at n = 100, a 35 MB factor).  ``build_covariance_matrix``
+forms C itself, as the dense reference the factor is checked against.
 """
 
 from __future__ import annotations
@@ -26,17 +25,11 @@ __all__ = [
     "SpaceTimeGrid",
     "FieldSample",
     "CholeskyFactor",
-    "JITTER",
     "RANK_TOLERANCE",
     "build_covariance_matrix",
-    "cholesky",
     "low_rank_factor",
     "sample_replications",
 ]
-
-# Diagonal shift of the one factorization attempt.  It exceeds the rounding
-# error that leaves shrunken-lag correlation matrices slightly indefinite.
-JITTER = 1e-12
 
 # Residual variance at which ``low_rank_factor`` stops: every diagonal entry
 # of C - L L' is at most this, and no pivot at or below it is accepted.
@@ -46,10 +39,6 @@ RANK_TOLERANCE = 1e-8
 # 30 x 30 x 4 Gneiting grid (one BLAS thread) 16 gives rank 1,214 in 0.47 s;
 # 8 gives 1,189 in 0.55 s and 32 gives 1,252 in 0.44 s.
 _PIVOT_BLOCK = 16
-
-# Side of the square tiles of the symmetry check: a pair of tiles fits in
-# cache, and the temporaries stay far below one N x N array.
-_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,14 +129,12 @@ class FieldSample:
 class CholeskyFactor:
     """A factor ``lower`` of shape (N, rank) with ``lower @ lower.T`` close to C.
 
-    ``cholesky`` gives the square factor of C + ``jitter_used`` I.
-    ``low_rank_factor`` gives a pivoted factor with no jitter, whose
-    ``residual`` is the largest diagonal entry of C - L L'.
+    ``low_rank_factor`` builds it; ``residual`` is the largest diagonal entry
+    of C - L L', at most ``RANK_TOLERANCE``.
     """
 
     lower: np.ndarray
-    jitter_used: float = JITTER
-    residual: float = None
+    residual: float
 
     @property
     def size(self) -> int:
@@ -178,9 +165,8 @@ def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
     model : CorrelationModel
     grid : SpaceTimeGrid
     scale : (s, t) pair, optional
-        Rescaling factors applied to spatial and temporal lags; used to
-        evaluate the model at shrunken lags (s_n h, t_n u) when sampling
-        the triangular-array construction.
+        Rescaling factors applied to spatial and temporal lags, so that
+        the model is evaluated at shrunken lags (s_n h, t_n u).
 
     Returns
     -------
@@ -200,71 +186,6 @@ def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
     for (i, j), k in zip(np.ndindex(nt, nt), which.ravel()):
         out[i * ns:(i + 1) * ns, j * ns:(j + 1) * ns] = blocks[k]
     return out
-
-
-def _asymmetry_and_scale(matrix: np.ndarray):
-    """``max|M - M'|`` and ``max|M|``, tile by tile with no N x N temporary.
-
-    Each lower tile (i, j) is compared with the transpose of upper tile
-    (j, i); a NaN anywhere propagates to both results, as with whole-matrix
-    reductions.
-    """
-    size = matrix.shape[0]
-    asymmetry, scale = [], []
-    for i in range(0, size, _TILE):
-        for j in range(0, i + 1, _TILE):
-            lower = matrix[i:i + _TILE, j:j + _TILE]
-            upper = matrix[j:j + _TILE, i:i + _TILE]
-            asymmetry.append(np.abs(lower - upper.T).max())
-            scale.append(np.abs(lower).max())
-            if i != j:
-                scale.append(np.abs(upper).max())
-    return float(np.max(asymmetry)), float(np.max(scale))
-
-
-def cholesky(matrix: np.ndarray) -> CholeskyFactor:
-    """Lower Cholesky factor of ``matrix + JITTER * I``, recording ``JITTER``.
-
-    The jitter is added to a writeable input's diagonal in place, and the
-    saved diagonal is restored bit for bit before returning or raising, so
-    no other thread may read the input meanwhile; a read-only input is
-    copied first.  The symmetry check runs tile by tile, so the peak is
-    three N x N arrays: the input, numpy's work buffer and the factor.  The
-    factor is computed from the upper triangle.  For an exactly symmetric
-    matrix, such as every one ``build_covariance_matrix`` makes, that gives
-    the same bits as the lower one.
-
-    Raises
-    ------
-    FactorizationError
-        If the shifted matrix is not positive definite; the message names
-        the most negative eigenvalue of the input.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError("matrix must be square")
-    asymmetry, scale = _asymmetry_and_scale(matrix)
-    if asymmetry > 1e-12 * max(1.0, scale):
-        raise DomainError("matrix must be symmetric")
-
-    shifted = matrix if matrix.flags.writeable else matrix.copy()
-    diagonal = np.diag(shifted).copy()
-    np.fill_diagonal(shifted, diagonal + JITTER)
-    try:
-        # The transpose of a C-ordered matrix is Fortran-ordered, so numpy
-        # copies it into LAPACK's column-major buffer contiguously.
-        lower = np.linalg.cholesky(shifted.T)
-    except np.linalg.LinAlgError:
-        lower = None
-    finally:
-        np.fill_diagonal(shifted, diagonal)
-    if lower is None:
-        most_negative = float(np.linalg.eigvalsh(matrix)[0])
-        raise FactorizationError(
-            f"matrix is not positive definite at jitter {JITTER:g}; "
-            f"most negative pivot (eigenvalue) is {most_negative:.6e}"
-        )
-    return CholeskyFactor(lower, JITTER)
 
 
 def _pivoted_block(block: np.ndarray):
@@ -359,7 +280,7 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
                 f"{residual[site]:.6e} at site {site} after {rank} pivots"
             )
     rows.resize((rank, size), refcheck=False)
-    return CholeskyFactor(rows.T, jitter_used=0.0, residual=float(residual.max()))
+    return CholeskyFactor(rows.T, float(residual.max()))
 
 
 def sample_replications(factor: CholeskyFactor, rng: np.random.Generator,

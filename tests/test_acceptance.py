@@ -23,11 +23,11 @@ from stormfields import (
     bivariate_cdf_hr,
     bivariate_cdf_smith,
     build_covariance_matrix,
-    cholesky,
     delta,
     delta_values,
     exponent_measure,
     husler_reiss_field,
+    low_rank_factor,
     pickands,
     rescaled_factor,
     scaling_sequences,
@@ -38,6 +38,7 @@ from stormfields import (
     variogram_to_covariance,
 )
 from stormfields.cli import main
+from stormfields.gaussfield import RANK_TOLERANCE
 
 Z99 = 2.5758293035489004
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
@@ -342,10 +343,19 @@ def test_criterion_09_property_suites():
     """Structural properties: PD assembly, Pickands, CDF shape, homogeneity, PSD."""
     checks = []
 
-    # positive definiteness with tiny jitter on a 500-point grid
+    # positive definiteness with tiny jitter on a 500-point grid, and the
+    # pivoted factor reproducing the same matrix
     grid = SpaceTimeGrid.regular(shape=(10, 10), times=(0.0, 1.0, 2.0, 3.0, 4.0))
-    factor = cholesky(build_covariance_matrix(GNEITING, grid))
-    checks.append(("assembly jitter <= 1e-8", factor.jitter_used <= 1e-8))
+    matrix = build_covariance_matrix(GNEITING, grid)
+    try:
+        np.linalg.cholesky(matrix + 1e-12 * np.eye(grid.size))
+        definite = True
+    except np.linalg.LinAlgError:
+        definite = False
+    checks.append(("assembly jitter <= 1e-8", definite and np.array_equal(matrix, matrix.T)))
+    factor = low_rank_factor(GNEITING, grid)
+    reproduced = np.abs(factor.lower @ factor.lower.T - matrix).max() <= RANK_TOLERANCE
+    checks.append(("pivoted factor within RANK_TOLERANCE", reproduced))
 
     # Pickands bounds, symmetry, convexity
     lams = np.linspace(0.001, 0.999, 999)

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # The trace wraps only names in a layer module's ``__all__``, so a name
 # dropped from there would silently read 0.
 TRACED = {
-    "gaussfield": ("build_covariance_matrix", "cholesky", "sample_replications"),
+    "gaussfield": ("build_covariance_matrix", "sample_replications"),
     "numerics": ("std_normal_cdf",),
     "maxstable": ("transform_marginal", "rescaled_factor", "simulate_storm_field", "storm_block"),
     "extremal": ("bivariate_cdf_hr", "bivariate_cdf_smith"),

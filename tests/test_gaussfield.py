@@ -1,8 +1,7 @@
-"""Covariance assembly, the dense factor of C + 1e-12 I, the pivoted low-rank
-factor, and Gaussian sampling."""
+"""Covariance assembly, the pivoted low-rank factor checked against the dense
+matrix, and Gaussian sampling."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,18 +18,11 @@ from stormfields import (
     SeparableModel,
     SpaceTimeGrid,
     build_covariance_matrix,
-    cholesky,
     low_rank_factor,
     scaling_sequences,
 )
 from stormfields.errors import DomainError, FactorizationError
-from stormfields.gaussfield import (
-    _PIVOT_BLOCK,
-    _TILE,
-    JITTER,
-    RANK_TOLERANCE,
-    sample_replications,
-)
+from stormfields.gaussfield import _PIVOT_BLOCK, RANK_TOLERANCE, sample_replications
 from stormfields.streams import substream
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
@@ -59,6 +51,31 @@ CATALOGUE = {
 
 # The time lags of hr_grid's shrunken covariance: Gneiting at n = 100.
 HR_GRID_SCALE = scaling_sequences(GNEITING.expansion(), 100)
+
+# N = 1200
+SHRUNKEN_GRID = SpaceTimeGrid.regular(shape=(20, 20), times=(0.0, 1.0, 2.0))
+
+
+def gneiting_in(dimension, shape):
+    """Gneiting in ``dimension`` spatial dimensions on ``shape`` x 3 times, at
+    its own lags for n = 100."""
+    model = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0, dimension=dimension)
+    grid = SpaceTimeGrid.regular(shape=shape, times=(0.0, 1.0, 2.0))
+    return model, grid, scaling_sequences(model.expansion(), 100)
+
+
+# N = 500, at unshrunken lags
+UNSCALED_GRID = SpaceTimeGrid.regular(shape=(10, 10), times=(0.0, 1.0, 2.0, 3.0, 4.0))
+
+# (model, grid, scale) for the factor-against-dense-matrix test: the
+# catalogue at hr_grid's lags and unshrunken, and Gneiting on 1-d and 3-d
+# spatial grids
+DENSE_CASES = {
+    **{name: (model, SHRUNKEN_GRID, HR_GRID_SCALE) for name, model in CATALOGUE.items()},
+    **{f"unscaled-{name}": (model, UNSCALED_GRID, None) for name, model in CATALOGUE.items()},
+    "1d-gneiting": gneiting_in(1, (40,)),
+    "3d-gneiting": gneiting_in(3, (5, 5, 4)),
+}
 
 
 def per_block_reference(model, grid, scale=(1.0, 1.0)):
@@ -207,143 +224,6 @@ class TestBuildCovariance:
         assert matrix.tobytes() == reference.tobytes()
 
 
-class TestCholesky:
-    def test_identity(self):
-        factor = cholesky(np.eye(3))
-        assert_array_equal(factor.lower, math.sqrt(1.0 + 1e-12) * np.eye(3))
-        assert factor.jitter_used == JITTER == 1e-12
-
-    def test_hand_factor(self):
-        # closed form of [[d, 0.25], [0.25, d]] with d = 1 + 1e-12:
-        # sqrt(d), 0.25 / sqrt(d) and sqrt(d - 0.0625 / d), to 20 digits
-        factor = cholesky(np.array([[1.0, 0.25], [0.25, 1.0]]))
-        expected = np.array([[1.0000000000005000444, 0.0],
-                             [0.24999999999987498889, 0.96824583655240294271]])
-        assert_allclose(factor.lower, expected, rtol=1e-15)
-
-    @pytest.mark.parametrize("case", ["identity", "singular", "indefinite"])
-    def test_one_factorization_attempt(self, case, monkeypatch):
-        if case == "singular":
-            grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
-            matrix = build_covariance_matrix(GNEITING, grid, scale=(0.05, 0.05))
-        else:
-            matrix = {"identity": np.eye(3), "indefinite": np.diag([1.0, -1.0])}[case]
-        calls = []
-        factorize = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: calls.append(a.shape) or factorize(a))
-        if case == "indefinite":
-            with pytest.raises(FactorizationError):
-                cholesky(matrix)
-        else:
-            assert cholesky(matrix).jitter_used == JITTER
-        assert len(calls) == 1
-
-    def test_rank_deficient_needs_jitter(self):
-        factor = cholesky(np.ones((2, 2)))
-        assert factor.jitter_used > 0.0
-        reconstructed = factor.lower @ factor.lower.T
-        assert np.max(np.abs(reconstructed - np.ones((2, 2)))) <= 1e-8 * 2
-
-    def test_indefinite_fails_with_diagnostic(self):
-        with pytest.raises(FactorizationError, match="-1.0"):
-            cholesky(np.diag([1.0, -1.0]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DomainError):
-            cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-    def test_jittered_factor_is_bitwise_the_added_identity(self, monkeypatch):
-        grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
-        matrix = build_covariance_matrix(GNEITING, grid, scale=(0.05, 0.05))
-        monkeypatch.setattr(np, "eye", None)  # cholesky must not build an identity
-        factor = cholesky(matrix)
-        monkeypatch.undo()
-        assert factor.jitter_used > 0.0
-        expected = np.linalg.cholesky(matrix + factor.jitter_used * np.eye(grid.size))
-        assert_array_equal(factor.lower, expected)
-
-    @staticmethod
-    def indefinite_with_negative_zero():
-        # -0.0 + JITTER - JITTER is +0.0, so only restoring the saved
-        # diagonal gives the input back bit for bit
-        matrix = np.diag([1.0, -0.0, -1.0, 0.7])
-        diagonal = np.diag(matrix)
-        assert (diagonal + JITTER - JITTER).tobytes() != diagonal.tobytes()
-        return matrix
-
-    def test_input_unchanged_after_success(self):
-        grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
-        matrix = build_covariance_matrix(GNEITING, grid, scale=HR_GRID_SCALE)
-        before = matrix.copy()
-        cholesky(matrix)
-        assert matrix.tobytes() == before.tobytes()
-
-    def test_input_unchanged_after_factorization_error(self):
-        matrix = self.indefinite_with_negative_zero()
-        before = matrix.copy()
-        with pytest.raises(FactorizationError, match="-1.0"):
-            cholesky(matrix)
-        assert matrix.tobytes() == before.tobytes()
-
-    def test_read_only_input_factors_to_the_same_bits(self):
-        grid = SpaceTimeGrid.regular(shape=(6, 6), times=(0.0, 1.0, 2.0))
-        matrix = build_covariance_matrix(GNEITING, grid, scale=HR_GRID_SCALE)
-        writeable = cholesky(matrix.copy()).lower
-        matrix.setflags(write=False)
-        assert cholesky(matrix).lower.tobytes() == writeable.tobytes()
-        indefinite = self.indefinite_with_negative_zero()
-        indefinite.setflags(write=False)
-        with pytest.raises(FactorizationError):
-            cholesky(indefinite)
-
-    @pytest.mark.parametrize("side", ["below", "at", "above"])
-    def test_symmetry_rule_in_an_off_diagonal_tile(self, side):
-        size = _TILE + 44
-        matrix = np.eye(size)
-        matrix[5, size - 10] = matrix[size - 10, 5] = 1e3  # max|M|, strictly upper
-        limit = 1e-12 * 1e3
-        perturbation = {"below": np.nextafter(limit, 0.0), "at": limit,
-                        "above": np.nextafter(limit, np.inf)}[side]
-        # (size - 20, 20) lies in lower tile (1, 0) only
-        assert size - 20 >= _TILE > 20
-        matrix[size - 20, 20] = perturbation
-        # the whole-matrix rule the tiles must reproduce
-        rejected = np.abs(matrix - matrix.T).max() > 1e-12 * max(1.0, np.abs(matrix).max())
-        assert rejected == (side == "above")
-        before = matrix.copy()
-        # |M_ij| = 1e3 > 1 on the diagonal, so an accepted matrix fails to factor
-        with pytest.raises(DomainError if rejected else FactorizationError):
-            cholesky(matrix)
-        assert matrix.tobytes() == before.tobytes()
-
-    def test_peak_memory_is_the_factor(self):
-        # 20 x 20 x 3: N = 1200, 8 N^2 = 11.5 MB.  A whole-matrix symmetry
-        # check and a shifted copy would each add another N x N array.
-        grid = SpaceTimeGrid.regular(shape=(20, 20), times=(0.0, 1.0, 2.0))
-        matrix = build_covariance_matrix(GNEITING, grid, scale=HR_GRID_SCALE)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            factor = cholesky(matrix)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert factor.lower.shape == (grid.size, grid.size)
-        assert peak - start <= 1.1 * 8 * grid.size ** 2
-
-    @pytest.mark.parametrize("model", CATALOGUE.values(), ids=CATALOGUE.keys())
-    def test_catalogued_models_factor_with_small_jitter(self, model):
-        grid = SpaceTimeGrid.regular(shape=(10, 10), times=(0.0, 1.0, 2.0, 3.0, 4.0))
-        matrix = build_covariance_matrix(model, grid)
-        assert_array_equal(matrix, matrix.T)
-        assert_array_equal(np.diag(matrix), np.ones(grid.size))
-        factor = cholesky(matrix)
-        assert factor.jitter_used <= 1e-8
-        reconstructed = factor.lower @ factor.lower.T
-        assert np.max(np.abs(reconstructed - matrix)) <= 1e-8 * grid.size
-
-
 class ConstantModel(CorrelationModel):
     """Correlation ``off_diagonal`` between any two distinct sites."""
 
@@ -356,17 +236,20 @@ class ConstantModel(CorrelationModel):
 
 
 class TestLowRankFactor:
-    GRID = SpaceTimeGrid.regular(shape=(20, 20), times=(0.0, 1.0, 2.0))  # N = 1200
-    # at hr_grid's lags the smooth models are numerically low-rank; the
+    GRID = SHRUNKEN_GRID
+    # at shrunken lags the smooth models are numerically low-rank; the
     # powered-exponential ones (ma_mixture, bernstein) keep full rank
-    LOW_RANK = ("gneiting", "separable", "aniso_gneiting")
+    LOW_RANK = ("gneiting", "separable", "aniso_gneiting", "1d-gneiting", "3d-gneiting")
 
-    @pytest.mark.parametrize("name", CATALOGUE)
-    def test_reproduces_the_dense_matrix(self, name):
-        model = CountingModel(CATALOGUE[name])
-        factor = low_rank_factor(model, self.GRID, HR_GRID_SCALE)
-        size = self.GRID.size
-        matrix = build_covariance_matrix(CATALOGUE[name], self.GRID, scale=HR_GRID_SCALE)
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_reproduces_the_dense_matrix(self, case):
+        base, grid, scale = DENSE_CASES[case]
+        model = CountingModel(base)
+        factor = low_rank_factor(model, grid, scale)
+        size = grid.size
+        matrix = build_covariance_matrix(base, grid, scale=scale)
+        assert_array_equal(matrix, matrix.T)
+        assert_array_equal(np.diag(matrix), np.ones(size))
         assert factor.lower.shape == (size, factor.rank)
         assert np.abs(factor.lower @ factor.lower.T - matrix).max() <= RANK_TOLERANCE
         residual = np.diag(matrix) - np.einsum("ij,ij->i", factor.lower, factor.lower)
@@ -374,11 +257,13 @@ class TestLowRankFactor:
         assert factor.residual == pytest.approx(residual.max(),
                                                 abs=factor.rank * np.finfo(float).eps)
         assert factor.residual <= RANK_TOLERANCE
-        assert factor.jitter_used == 0.0
-        if name in self.LOW_RANK:
+        if case in self.LOW_RANK:
             assert factor.rank < size
-        # rho runs on the accepted pivots' columns and a b x b block per step
-        assert model.evaluations <= size * (factor.rank + _PIVOT_BLOCK)
+        # rho runs on the accepted pivots' columns and a b x b block per step,
+        # one call each, in at most ceil(N / b) steps
+        steps = len(model.time_lags) // 2
+        assert model.evaluations == size * factor.rank + _PIVOT_BLOCK ** 2 * steps
+        assert steps <= math.ceil(size / _PIVOT_BLOCK)
 
     def test_full_rank_on_the_validate_grid(self):
         # the six sites of the default validate pairs at n = 1000
@@ -403,8 +288,6 @@ class TestLowRankFactor:
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.0]))
         with pytest.raises(FactorizationError, match="not positive semidefinite"):
             low_rank_factor(ConstantModel(-0.9), grid)
-        with pytest.raises(FactorizationError):
-            cholesky(build_covariance_matrix(ConstantModel(-0.9), grid))
         assert low_rank_factor(ConstantModel(0.5), grid).rank == 3
 
     def test_non_finite_correlation_raises(self):
@@ -428,21 +311,21 @@ class TestLowRankFactor:
 class TestSampling:
     def test_single_point_moments(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
-        factor = cholesky(build_covariance_matrix(GNEITING, grid))
+        factor = low_rank_factor(GNEITING, grid)
         draws = sample_replications(factor, substream(123, 0, 0), 100_000)[:, 0]
         assert abs(draws.mean()) <= 0.02
         assert 0.97 <= draws.var() <= 1.03
 
     def test_pair_correlation(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0, 10.0]))
-        factor = cholesky(build_covariance_matrix(GNEITING, grid))  # rho = 0.25
+        factor = low_rank_factor(GNEITING, grid)  # rho = 0.25
         draws = sample_replications(factor, substream(42, 0, 0), 100_000)
         empirical = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(empirical - 0.25) <= 0.02
 
     def test_determinism_same_stream(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0, 1.0))
-        factor = cholesky(build_covariance_matrix(GNEITING, grid))
+        factor = low_rank_factor(GNEITING, grid)
         for count in (1, 3):
             a = sample_replications(factor, substream(7, 0, 4), count)
             b = sample_replications(factor, substream(7, 0, 4), count)
@@ -451,7 +334,7 @@ class TestSampling:
 
     def test_distinct_streams_differ(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
-        factor = cholesky(build_covariance_matrix(GNEITING, grid))
+        factor = low_rank_factor(GNEITING, grid)
         for count in (1, 3):
             a = sample_replications(factor, substream(7, 0, 0), count)
             b = sample_replications(factor, substream(7, 0, 1), count)
@@ -463,6 +346,6 @@ class TestSampling:
         # empirical covariance of many replications approaches the target
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 2.0]]), np.array([0.0, 1.0]))
         matrix = build_covariance_matrix(GNEITING, grid)
-        draws = sample_replications(cholesky(matrix), substream(99, 0, 0), 60_000)
+        draws = sample_replications(low_rank_factor(GNEITING, grid), substream(99, 0, 0), 60_000)
         empirical = np.cov(draws.T)
         assert np.max(np.abs(empirical - matrix)) <= 0.03

@@ -27,7 +27,7 @@ from stormfields import (
 )
 from stormfields import maxstable
 from stormfields.errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
-from stormfields.gaussfield import cholesky, sample_replications
+from stormfields.gaussfield import low_rank_factor, sample_replications
 from stormfields.maxstable import normalize_maxima, transform_marginal
 from stormfields.numerics import std_normal_quantile
 from stormfields.streams import FIELD_PURPOSE, substream
@@ -153,8 +153,9 @@ class TestHuslerReissField:
 
     def test_factor_grid_size_mismatch(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
+        four_sites = low_rank_factor(GNEITING, SpaceTimeGrid.regular(shape=(2, 2), times=(0.0,)))
         with pytest.raises(DomainError):
-            husler_reiss_field(GNEITING, grid, 50, MarginalKind.FRECHET, 0, factor=cholesky(np.eye(4)))
+            husler_reiss_field(GNEITING, grid, 50, MarginalKind.FRECHET, 0, factor=four_sites)
 
     def test_factor_peak_memory_below_one_dense_matrix(self):
         # 20 x 20 x 3: N = 1200, 8 N^2 = 11.5 MB.  The dense matrix alone is
