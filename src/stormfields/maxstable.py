@@ -230,14 +230,31 @@ class StormModelParams:
 # form and threshold, a few ulps of numbers below about 1.5e3.
 _REACH_MARGIN = 1e-9
 
-# The reach fold makes about a dozen more numpy calls than the dense fold,
-# which outweighs what it saves on a batch of fewer (event, point) pairs
-# than this: on the few-point grid of ``validate``, or one event at a time.
+# The reach fold spends 50-65 us more per batch than the dense fold in
+# fixed numpy calls (one BLAS thread, 2 vCPUs), so it pays only on larger
+# batches.  On the six-point grid of ``validate`` (at most 384 pairs per
+# batch) the dense fold takes 21-30 us per batch and the reach fold
+# 59-86 us, and a realization takes 175-190 us at this threshold against
+# 270 us with the reach fold on every batch.  On the 10x10x3 and 30x30x4
+# grids the two folds cross at 12k-14k pairs per batch, yet whole
+# realizations take the same time, within noise, at 4096 and at 12288: only
+# a realization's last, cut batch falls between them.  Either fold gives
+# the same bytes.
 _REACH_MIN_PAIRS = 4096
+
+# Relative padding of the x-slab half-width of ``_event_maxima``: far above
+# the rounding of Sigma_xx, of the half-width and of the quadratic form,
+# a few ulps times the precision's (1 + |rho|) / (1 - |rho|).
+_SLAB_PAD = 1e-6
 
 # Events drawn and folded per batch of one realization.  No field depends on
 # it: see the batch loop of ``storm_block``.
 _STORM_BATCH = 64
+
+
+def _spatial_quad(precision, dx, dy):
+    """``P00 dx dx + 2 P01 dx dy + P11 dy dy``, left-associated."""
+    return precision[0, 0] * dx * dx + 2.0 * precision[0, 1] * dx * dy + precision[1, 1] * dy * dy
 
 
 def _event_maxima(field, current_min, intensities, centers, peak_times, points, time_points,
@@ -253,36 +270,78 @@ def _event_maxima(field, current_min, intensities, centers, peak_times, points, 
 
     Once the field minimum m is positive, event k can raise a value only
     inside its reach, ``quad < thr_k = 2 log(I_k peak / m) + margin``.  The
-    reach fold keeps the (event, site) pairs with ``sq < thr_k - min_t tq``,
-    then the (event, site, time) triples with ``sq + tq < thr_k``, and takes
-    ``exp`` on those alone.  The result is bitwise the dense fold's: a
-    skipped triple has a computed quad of at least
-    ``2 log(I_k peak / m) + margin`` less a few ulps, so its computed
-    contribution is at most ``m exp(-margin / 2) (1 + O(ulp)) < m <= field[j]``
-    and the dense maximum keeps ``field[j]`` there; every kept triple runs
-    the dense formula on the same operands; and ``max`` is exact and
-    independent of order.
+    reach fold keeps the (event, site) pairs with ``sq < reach_k = thr_k -
+    min_t tq[k]``, then the (event, site, time) triples with
+    ``sq + tq < thr_k``, and takes ``exp`` on those alone.  The result is
+    bitwise the dense fold's: a skipped triple has a computed quad of at
+    least ``2 log(I_k peak / m) + margin`` less a few ulps, so its computed
+    contribution is at most ``m exp(-margin / 2) (1 + O(ulp)) < m <=
+    field[j]`` and the dense maximum keeps ``field[j]`` there; every kept
+    triple runs the dense formula on the same operands; and ``max`` is exact
+    and independent of order.
+
+    The fold computes ``sq`` only on the sites of each event's x-slab,
+    ``|x - cx_k| <= half_k = sqrt(reach_k * Sigma_xx) (1 + _SLAB_PAD)``,
+    found by ``searchsorted`` on the x-coordinates sorted once per call, and
+    skips the events with ``reach_k <= 0``.  Every pair it skips fails
+    ``sq < reach_k``, so it keeps the pairs the test keeps on all pairs:
+
+    * With ``Sigma_xx = P11 / (P00 P11 - P01^2)``, the (0, 0) entry of the
+      inverse of ``precision``, the exact form at any offset is
+      ``q(dx, dy) = P11 (dy + P01 dx / P11)^2 + dx^2 / Sigma_xx``, so
+      ``q >= dx^2 / Sigma_xx``.
+    * The computed ``sq`` is q within ``4 u kappa q``, where u is the unit
+      roundoff and ``kappa = (1 + |r|) / (1 - |r|)`` for the precision's
+      correlation r, because its terms sum in absolute value to at most
+      ``kappa q``.  So a computed ``sq`` is never negative, and every pair
+      of an event with ``reach_k <= 0`` fails.
+    * A pair that passes has ``dx^2 <= Sigma_xx q < Sigma_xx reach_k (1 +
+      4 u kappa)``, and ``|cx_k - x| <= |dx| / (1 - u)`` for the computed
+      ``dx``.  The computed ``half_k`` is within a few ulps times kappa of
+      its exact value, the rounding of ``Sigma_xx`` included, and
+      ``_SLAB_PAD`` exceeds all of these terms together while
+      ``kappa < 1e9``.  So ``cx_k - half_k <= x <= cx_k + half_k`` holds
+      exactly for the computed ``half_k``.
+    * The slab ends are rounded too, by up to half an ulp of ``cx_k``,
+      which is far more than ``half_k`` at large coordinates.  But rounding
+      to nearest is monotone and x is a double, so ``fl(cx_k - half_k) <=
+      x <= fl(cx_k + half_k)``, and both ``searchsorted`` bounds include
+      their ends.  The slab therefore needs no padding in ulps of ``cx_k``.
 
     Every event is folded at every point instead while the field still has
     zeros, and when the batch has fewer than ``_REACH_MIN_PAIRS``
     (event, point) pairs; either fold gives the same bytes.  ``current_min``
     is ``field.min()``, which the caller's stopping test has computed.
     """
-    dx = centers[:, 0][:, None] - points[None, :, 0]
-    dy = centers[:, 1][:, None] - points[None, :, 1]
     dt = peak_times[:, None] - time_points[None, :]
-    sq = precision[0, 0] * dx * dx + 2.0 * precision[0, 1] * dx * dy + precision[1, 1] * dy * dy
     tq = inv_s3sq * dt * dt
     with np.errstate(under="ignore"):
         if current_min > 0.0 and len(intensities) * field.size >= _REACH_MIN_PAIRS:
             thr = 2.0 * np.log(intensities * peak / current_min) + _REACH_MARGIN
-            event, site = np.nonzero(sq < (thr - tq.min(axis=1))[:, None])
-            quad = sq[event, site][:, None] + tq[event]
+            reach = thr - tq.min(axis=1)
+            live = np.flatnonzero(reach > 0.0)
+            sigma_xx = precision[1, 1] / (precision[0, 0] * precision[1, 1]
+                                          - precision[0, 1] * precision[0, 1])
+            # each live event's slab is a run of sites in x order
+            cx, cy = centers[live, 0], centers[live, 1]
+            half = np.sqrt(reach[live] * sigma_xx) * (1.0 + _SLAB_PAD)
+            order = np.argsort(points[:, 0], kind="stable")
+            xs, ys = points[order, 0], points[order, 1]
+            first = np.searchsorted(xs, cx - half, side="left")
+            count = np.searchsorted(xs, cx + half, side="right") - first
+            pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+            sq = _spatial_quad(precision, np.repeat(cx, count) - xs[pos],
+                               np.repeat(cy, count) - ys[pos])
+            keep = sq < np.repeat(reach[live], count)
+            event, site = np.repeat(live, count)[keep], order[pos[keep]]
+            quad = sq[keep][:, None] + tq[event]
             pair, t = np.nonzero(quad < thr[event][:, None])
             contrib = intensities[event[pair]] * (peak * np.exp(-0.5 * quad[pair, t]))
             folded = field.copy()
             np.maximum.at(folded, t * len(points) + site[pair], contrib)
             return folded
+        sq = _spatial_quad(precision, centers[:, 0][:, None] - points[None, :, 0],
+                           centers[:, 1][:, None] - points[None, :, 1])
         quad = (sq[:, None, :] + tq[:, :, None]).reshape(len(intensities), -1)
         contrib = intensities[:, None] * (peak * np.exp(-0.5 * quad))
     return np.maximum(field, contrib.max(axis=0))
@@ -313,10 +372,12 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
 
     The same bound drives the fold.  Once the field minimum m is positive,
     an event of intensity I can change the grid only inside its reach, the
-    ellipsoid ``quad < 2 log(I * peak_density / m)``, and a batch of at
-    least 4096 (event, point) pairs is evaluated only there, bitwise as a
-    fold at every point (see ``_event_maxima``).  A non-finite value in the
-    block raises ``DomainError``.
+    ellipsoid ``quad < 2 log(I * peak_density / m)``.  In a batch of at
+    least 4096 (event, point) pairs, the spatial quadratic form is evaluated
+    only on the sites of each event's x-slab, the x-extent of that
+    ellipsoid, and ``exp`` only inside it, bitwise as a fold at every point
+    (see ``_event_maxima``).  A non-finite value in the block raises
+    ``DomainError``.
     """
     if grid.dimension != 2:
         raise DomainError("the storm model is defined on a 2-d spatial domain")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,8 @@ class TestLocalFold:
         (np.eye(2), 1.0),
         (np.array([[1.0, 0.6], [0.6, 2.0]]), 1.0),
         (np.array([[0.5, -0.3], [-0.3, 0.4]]), 0.3),
+        (np.array([[1.0, 0.99], [0.99, 1.0]]), 1.0),
+        (np.array([[4.0, 0.0], [0.0, 0.05]]), 1.0),
     ])
     def test_random_batches_with_positive_minimum(self, sigma, s3sq):
         params = StormModelParams(sigma, s3sq)
@@ -463,6 +466,79 @@ class TestLocalFold:
             assert local.tobytes() == dense.tobytes()
             if offset >= 2e-10:
                 assert dense[j] > m
+
+    @pytest.mark.parametrize("shift", [1e6, 2.0**31])
+    def test_slab_edge_at_large_coordinates(self, shift):
+        # Sites near x = shift, where consecutive doubles are np.spacing(shift)
+        # apart, so the slab ends cx -/+ half of the fold round.  Columns of
+        # tied x sit on consecutive doubles around both edges of the event's
+        # reach, each with a site at the y that minimizes the quadratic form,
+        # and intensities a fraction of an ulp of reach apart sweep the edge
+        # across them.
+        params = StormModelParams(np.array([[1.0, 0.6], [0.6, 2.0]]), 1.0)
+        p = params.spatial_precision
+        sigma_xx = p[1, 1] / (p[0, 0] * p[1, 1] - p[0, 1] * p[0, 1])
+        peak = params.peak_density
+        cx, cy = shift + 0.25, 0.5
+        ulp = float(np.spacing(cx))
+        # the x-gap between the raise edge, quad = 2 log(I peak / m), and the
+        # slab edge is least near this half-width: sqrt(margin / (2 pad))
+        radius = 0.022
+        edge = round(radius / ulp) * ulp
+        offsets = [side * (edge + k * ulp) for side in (-1, 1) for k in range(-3, 4)] + [0.0]
+        points = []
+        for d in offsets:
+            y = cy - p[0, 1] * d / p[1, 1]  # dy = cy - y = -P01 dx / P11 at dx = -d
+            points += [(cx + d, y), (cx + d, y + 0.5), (cx + d, y - 0.5)]
+        points = np.random.default_rng(64).permutation(np.array(points))
+        times = np.array([1.0, 0.0])
+        m = 0.37
+        field = np.full(2 * len(points), m)
+        center, peak_time = np.array([[cx, cy]]), np.array([0.0])
+        step = 0.075 * ulp * radius / sigma_xx
+        lows, highs, on_rounded_end = set(), set(), 0
+        for j in range(-20, 21):
+            log_ratio = radius ** 2 / (2.0 * sigma_xx) + j * step
+            intensity = np.array([m / peak * math.exp(log_ratio)])
+            local, dense = self.fold_both(params, field, intensity, center, peak_time,
+                                          points, times)
+            assert local.tobytes() == dense.tobytes()
+            # the slab ends as ``_event_maxima`` computes them
+            half = math.sqrt((2.0 * math.log(intensity[0] * peak / m) + maxstable._REACH_MARGIN)
+                             * sigma_xx) * (1.0 + maxstable._SLAB_PAD)
+            assert (cx + half) - cx != half
+            x = points[dense[1 * len(points):] > m, 0]  # time 0.0, the event's peak time
+            lows.add(x.min())
+            highs.add(x.max())
+            on_rounded_end += int(x.min() == cx - half or x.max() == cx + half)
+        # the edge crossed a double on each side
+        assert len(lows) >= 2 and len(highs) >= 2
+        if ulp > 1e-7:
+            # an ulp exceeds the gap between the raise edge and the slab edge,
+            # so a raised site lies on a rounded slab end
+            assert on_rounded_end > 0
+
+    def test_batch_out_of_reach_leaves_field_unchanged(self):
+        # every event has reach <= 0: too weak, or peaking too far in time
+        params = StormModelParams(np.array([[1.0, 0.6], [0.6, 2.0]]), 1.0)
+        peak = params.peak_density
+        rng = np.random.default_rng(65)
+        size = len(self.POINTS) * len(self.TIMES)
+        m = 0.2
+        field = m * (1.0 + rng.exponential(0.5, size))
+        field[rng.integers(size)] = m
+        weak = m / peak * rng.uniform(0.1, 0.999, 15)
+        late = m / peak * np.exp(rng.uniform(0.0, 5.0, 15))
+        intensities = np.concatenate([weak, late])
+        centers = rng.uniform(-4.0, 4.0, size=(30, 2))
+        peak_times = np.concatenate([rng.uniform(-1.0, 2.5, 15), np.full(15, 9.0)])
+        with warnings.catch_warnings():
+            # no slab is computed from a negative reach
+            warnings.simplefilter("error")
+            local, dense = self.fold_both(params, field, intensities, centers, peak_times,
+                                          self.POINTS, self.TIMES)
+        assert local.tobytes() == field.tobytes()
+        assert dense.tobytes() == field.tobytes()
 
     @pytest.mark.parametrize("seed", [20240, 7919, 5])
     def test_realizations_match_dense_reference(self, seed, monkeypatch):
