@@ -244,8 +244,10 @@ _REACH_MIN_PAIRS = 4096
 
 # Relative padding of the x-slab half-width of ``_event_maxima``: far above
 # the rounding of Sigma_xx, of the half-width and of the quadratic form,
-# a few ulps times the precision's (1 + |rho|) / (1 - |rho|).
+# a few ulps times kappa = (1 + |r|) / (1 - |r|) for the precision's
+# correlation r, while kappa < 1e9, that is r^2 < _SLAB_MAX_R2.
 _SLAB_PAD = 1e-6
+_SLAB_MAX_R2 = 1.0 - 4e-9
 
 # Events drawn and folded per batch of one realization.  No field depends on
 # it: see the batch loop of ``storm_block``.
@@ -299,9 +301,9 @@ def _event_maxima(field, current_min, intensities, centers, peak_times, points, 
       4 u kappa)``, and ``|cx_k - x| <= |dx| / (1 - u)`` for the computed
       ``dx``.  The computed ``half_k`` is within a few ulps times kappa of
       its exact value, the rounding of ``Sigma_xx`` included, and
-      ``_SLAB_PAD`` exceeds all of these terms together while
-      ``kappa < 1e9``.  So ``cx_k - half_k <= x <= cx_k + half_k`` holds
-      exactly for the computed ``half_k``.
+      ``_SLAB_PAD`` exceeds all of these terms together, because the fold
+      requires ``kappa < 1e9``.  So ``cx_k - half_k <= x <= cx_k +
+      half_k`` holds exactly for the computed ``half_k``.
     * The slab ends are rounded too, by up to half an ulp of ``cx_k``,
       which is far more than ``half_k`` at large coordinates.  But rounding
       to nearest is monotone and x is a double, so ``fl(cx_k - half_k) <=
@@ -309,14 +311,17 @@ def _event_maxima(field, current_min, intensities, centers, peak_times, points, 
       their ends.  The slab therefore needs no padding in ulps of ``cx_k``.
 
     Every event is folded at every point instead while the field still has
-    zeros, and when the batch has fewer than ``_REACH_MIN_PAIRS``
-    (event, point) pairs; either fold gives the same bytes.  ``current_min``
-    is ``field.min()``, which the caller's stopping test has computed.
+    zeros, when the batch has fewer than ``_REACH_MIN_PAIRS`` (event, point)
+    pairs, and when ``r^2 >= _SLAB_MAX_R2``: near so singular a precision the
+    computed ``sq`` can be a percent below q, and a site outside the slab
+    could pass.  Either fold gives the same bytes.  ``current_min`` is
+    ``field.min()``, which the caller's stopping test has computed.
     """
     dt = peak_times[:, None] - time_points[None, :]
     tq = inv_s3sq * dt * dt
     with np.errstate(under="ignore"):
-        if current_min > 0.0 and len(intensities) * field.size >= _REACH_MIN_PAIRS:
+        if (current_min > 0.0 and len(intensities) * field.size >= _REACH_MIN_PAIRS
+                and precision[0, 1] ** 2 < _SLAB_MAX_R2 * precision[0, 0] * precision[1, 1]):
             thr = 2.0 * np.log(intensities * peak / current_min) + _REACH_MARGIN
             reach = thr - tq.min(axis=1)
             live = np.flatnonzero(reach > 0.0)

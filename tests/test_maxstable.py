@@ -540,6 +540,22 @@ class TestLocalFold:
         assert local.tobytes() == field.tobytes()
         assert dense.tobytes() == field.tobytes()
 
+    def test_near_singular_precision(self):
+        # the precision of Sigma = [[1, r], [r, 1]] at r = 1 - 1e-14, where the
+        # computed form at this site is 7.4375 and its exact value 7.5408, so
+        # the site lies outside the event's x-slab yet the dense fold raises it
+        precision = np.array([[50039995859672.18, -50039995859671.68],
+                              [-50039995859671.68, 50039995859672.18]])
+        field = np.array([0.6193479058939575])
+        args = (field.min(), np.array([5.727768995697408e-05]),
+                np.array([[1.8905312130944258, 1.8905197882517828]]),
+                np.array([0.002278310277123108]),
+                np.array([[-0.8553701568836107, -0.8553815859029701]]), np.array([0.0]),
+                precision, 1.0, 449147.3379506689)
+        dense = dense_event_maxima(field, *args)
+        assert dense[0] > field[0]
+        assert maxstable._event_maxima(field, *args).tobytes() == dense.tobytes()
+
     @pytest.mark.parametrize("seed", [20240, 7919, 5])
     def test_realizations_match_dense_reference(self, seed, monkeypatch):
         params = StormModelParams(np.eye(2), 1.0)
