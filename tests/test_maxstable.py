@@ -507,7 +507,7 @@ class TestLocalFold:
             half = math.sqrt((2.0 * math.log(intensity[0] * peak / m) + maxstable._REACH_MARGIN)
                              * sigma_xx) * (1.0 + maxstable._SLAB_PAD)
             assert (cx + half) - cx != half
-            x = points[dense[1 * len(points):] > m, 0]  # time 0.0, the event's peak time
+            x = points[dense[len(points):] > m, 0]  # time 0.0, the event's peak time
             lows.add(x.min())
             highs.add(x.max())
             on_rounded_end += int(x.min() == cx - half or x.max() == cx + half)
