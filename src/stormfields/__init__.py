@@ -25,8 +25,6 @@ from .covmodels import (
     PoweredExponential,
     SeparableModel,
     SmoothnessExpansion,
-    SpaceTimeLag,
-    delta,
     delta_values,
     scaling_sequences,
     scaling_sequences_from_log,
@@ -57,9 +55,7 @@ from .maxstable import (
     StormModelParams,
     equivalent_storm_params,
     husler_reiss_block,
-    husler_reiss_field,
     rescaled_factor,
-    simulate_storm_field,
     storm_block,
 )
 
@@ -69,8 +65,8 @@ __all__ = [
     # covmodels
     "AnisotropicModel", "AnisotropyTransform", "BernsteinModel", "CorrelationModel",
     "GneitingModel", "MaMixtureModel", "PoweredExponential", "SeparableModel",
-    "SmoothnessExpansion", "SpaceTimeLag", "delta", "delta_values", "scaling_sequences",
-    "scaling_sequences_from_log", "variogram_to_covariance",
+    "SmoothnessExpansion", "delta_values", "scaling_sequences", "scaling_sequences_from_log",
+    "variogram_to_covariance",
     # errors
     "ConfigError", "DomainError", "FactorizationError", "NotPositiveDefiniteError",
     "StormFieldsError", "UnsupportedModelError",
@@ -81,6 +77,5 @@ __all__ = [
     "SpaceTimeGrid", "build_covariance_matrix", "low_rank_factor",
     # maxstable
     "DEFAULT_INTENSITY_FLOOR", "MarginalKind", "StormModelParams", "equivalent_storm_params",
-    "husler_reiss_block", "husler_reiss_field", "rescaled_factor", "simulate_storm_field",
-    "storm_block",
+    "husler_reiss_block", "rescaled_factor", "storm_block",
 ]

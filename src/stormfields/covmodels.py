@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DomainError, UnsupportedModelError
 
 __all__ = [
-    "SpaceTimeLag",
     "SmoothnessExpansion",
     "CorrelationModel",
     "GneitingModel",
@@ -40,7 +39,6 @@ __all__ = [
     "AnisotropyTransform",
     "AnisotropicModel",
     "apply_anisotropy",
-    "delta",
     "delta_values",
     "scaling_sequences",
     "scaling_sequences_from_log",
@@ -60,28 +58,6 @@ def _positive(value, name):
     if value <= 0.0:
         raise DomainError(f"{name} must be > 0")
     return value
-
-
-@dataclass(frozen=True)
-class SpaceTimeLag:
-    """A spatial displacement ``h`` paired with a time displacement ``u``."""
-
-    h: tuple
-    u: float
-
-    def __post_init__(self):
-        h = tuple(_finite(c, "lag component") for c in np.atleast_1d(self.h))
-        if len(h) not in (1, 2, 3):
-            raise DomainError("spatial lag must have dimension 1, 2 or 3")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "u", _finite(self.u, "u"))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.h)
-
-    def spatial(self) -> np.ndarray:
-        return np.asarray(self.h, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -469,11 +445,6 @@ def delta_values(expansion: SmoothnessExpansion, h, u):
         hsq = np.sum(h * h, axis=-1)
         spatial = expansion.c_space * hsq ** (expansion.alpha_space / 2.0)
     return spatial + expansion.c_time * u ** expansion.alpha_time
-
-
-def delta(expansion: SmoothnessExpansion, lag: SpaceTimeLag) -> float:
-    """Limit function delta at one lag: C1*||A h||^a1 + C2*|u|^a2."""
-    return float(delta_values(expansion, lag.spatial(), lag.u))
 
 
 def scaling_sequences_from_log(expansion: SmoothnessExpansion, log_n: float):

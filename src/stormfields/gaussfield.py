@@ -23,7 +23,6 @@ from .errors import DomainError, FactorizationError
 
 __all__ = [
     "SpaceTimeGrid",
-    "FieldSample",
     "CholeskyFactor",
     "RANK_TOLERANCE",
     "build_covariance_matrix",
@@ -106,23 +105,6 @@ class SpaceTimeGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         return SpaceTimeGrid(pts, np.asarray(times, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """One realized field on a grid, tagged with its reproducibility key."""
-
-    grid: SpaceTimeGrid
-    values: np.ndarray
-    seed_info: tuple = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.size,):
-            raise DomainError("values length must match the flattened grid size")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("field values must be finite")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)

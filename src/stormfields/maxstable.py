@@ -27,7 +27,6 @@ from .covmodels import CorrelationModel, SmoothnessExpansion, scaling_sequences
 from .errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
 from .gaussfield import (
     CholeskyFactor,
-    FieldSample,
     SpaceTimeGrid,
     low_rank_factor,
     sample_replications,
@@ -43,9 +42,7 @@ __all__ = [
     "normalize_maxima",
     "rescaled_factor",
     "husler_reiss_block",
-    "husler_reiss_field",
     "storm_block",
-    "simulate_storm_field",
     "equivalent_storm_params",
 ]
 
@@ -135,35 +132,6 @@ def husler_reiss_block(factor: CholeskyFactor, n: int, kind: MarginalKind, seed:
         rng = substream(int(seed), FIELD_PURPOSE, realization)
         maxima[row] = sample_replications(factor, rng, int(n)).max(axis=0)
     return normalize_maxima(transform_marginal(maxima, kind), int(n), kind)
-
-
-def husler_reiss_field(model: CorrelationModel, grid: SpaceTimeGrid, n: int,
-                       kind: MarginalKind, seed: int, realization: int = 0,
-                       factor: CholeskyFactor = None) -> FieldSample:
-    """One max-stable field realization from n rescaled Gaussian replications.
-
-    This is the one-row case of ``husler_reiss_block``.
-
-    Parameters
-    ----------
-    model : CorrelationModel
-        Correlation family with a valid small-lag expansion.
-    grid : SpaceTimeGrid
-    n : int
-        Number of Gaussian replications entering the pointwise maximum.
-    kind : MarginalKind
-        Marginal family of the output field.
-    seed, realization : int
-        Reproducibility key; the same pair always yields the same field.
-    factor : CholeskyFactor, optional
-        Reuse a precomputed ``rescaled_factor(model, grid, n)``.
-    """
-    if factor is None:
-        factor = rescaled_factor(model, grid, n)
-    if factor.size != grid.size:
-        raise DomainError("factor dimension does not match the grid size")
-    values = husler_reiss_block(factor, n, kind, seed, [realization])[0]
-    return FieldSample(grid=grid, values=values, seed_info=(int(seed), int(realization)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,9 +369,10 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
     peak = params.peak_density
     floor = params.intensity_floor
 
+    realizations = [int(r) for r in realizations]
     values = np.empty((len(realizations), grid.size))
     for row, realization in enumerate(realizations):
-        rng = substream(int(seed), STORM_PURPOSE, int(realization))
+        rng = substream(int(seed), STORM_PURPOSE, realization)
         field = np.zeros(grid.size)
         arrival_total = 0.0
         while True:
@@ -440,13 +409,6 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
     if not np.all(np.isfinite(values)):
         raise DomainError("field values must be finite")
     return values
-
-
-def simulate_storm_field(params: StormModelParams, grid: SpaceTimeGrid,
-                         seed: int, realization: int = 0) -> FieldSample:
-    """One storm-profile field realization: the one-row case of ``storm_block``."""
-    values = storm_block(params, grid, seed, [realization])[0]
-    return FieldSample(grid=grid, values=values, seed_info=(int(seed), int(realization)))
 
 
 def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,

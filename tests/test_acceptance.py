@@ -18,23 +18,21 @@ from stormfields import (
     MarginalKind,
     SmoothnessExpansion,
     SpaceTimeGrid,
-    SpaceTimeLag,
     StormModelParams,
     bivariate_cdf_hr,
     bivariate_cdf_smith,
     build_covariance_matrix,
-    delta,
     delta_values,
     exponent_measure,
-    husler_reiss_field,
+    husler_reiss_block,
     low_rank_factor,
     pickands,
     rescaled_factor,
     scaling_sequences,
     scaling_sequences_from_log,
-    simulate_storm_field,
     smith_cdf_spatial,
     smith_cdf_temporal,
+    storm_block,
     variogram_to_covariance,
 )
 from stormfields.cli import main
@@ -208,9 +206,7 @@ def test_criterion_04_storm_monte_carlo():
     # flat order: t=0 -> [s0, s1], t=1 -> [2, 3], t=2 -> [4, 5]
     thresholds = (0.5, 1.0, 2.0)
     count = 10_000
-    fields = np.array([
-        simulate_storm_field(params, grid, 1004, i).values for i in range(count)
-    ])
+    fields = storm_block(params, grid, 1004, range(count))
     worst_margin = -math.inf
     ok = True
     for label, (ia, ib, h, u) in pairs.items():
@@ -230,12 +226,9 @@ def test_criterion_05_rescaled_gaussian_monte_carlo():
     count = 10_000
     grid = SpaceTimeGrid(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0.0, 1.0]))
     factor = rescaled_factor(GNEITING, grid, n)
-    fields = np.array([
-        husler_reiss_field(GNEITING, grid, n, MarginalKind.FRECHET, 1005, i, factor=factor).values
-        for i in range(count)
-    ])
+    fields = husler_reiss_block(factor, n, MarginalKind.FRECHET, 1005, range(count))
     # sites: (0,0) at t=0 (flat 0) and (2,0) at t=1 (flat 3): lag h=(2,0), u=1
-    dependence = delta(GNEITING.expansion(), SpaceTimeLag((2.0, 0.0), 1.0))
+    dependence = delta_values(GNEITING.expansion(), (2.0, 0.0), 1.0)
     ok = True
     worst_margin = -math.inf
     for y1, y2 in ((0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (1.0, 2.0)):
@@ -268,10 +261,7 @@ def test_criterion_06_marginal_laws():
     }
     distances = {}
     for kind, law in laws.items():
-        values = np.array([
-            husler_reiss_field(GNEITING, grid, n, kind, 1006, i, factor=factor).values[0]
-            for i in range(count)
-        ])
+        values = husler_reiss_block(factor, n, kind, 1006, range(count))[:, 0]
         distances[kind.value] = _ks_distance(values, law)
     ok = all(d < 0.02 for d in distances.values())
     detail = ", ".join(f"{k}: KS={d:.4f}" for k, d in distances.items())

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACED = {
     "gaussfield": ("build_covariance_matrix", "sample_replications"),
     "numerics": ("std_normal_cdf",),
-    "maxstable": ("transform_marginal", "rescaled_factor", "simulate_storm_field", "storm_block"),
+    "maxstable": ("transform_marginal", "rescaled_factor", "storm_block"),
     "extremal": ("bivariate_cdf_hr", "bivariate_cdf_smith"),
     "streams": ("substream",),
 }
@@ -34,15 +34,28 @@ def test_all_is_a_literal_list_of_resolving_names():
         assert getattr(stormfields, name) is not None
 
 
-def test_readme_quick_tour_uses_only_public_names():
+def readme_quick_tour() -> str:
+    """The code block of the README's quick tour."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## Library quick tour", 1)[1]
-    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+
+
+def test_readme_quick_tour_uses_only_public_names():
+    code = readme_quick_tour()
     imported = {alias.name for node in ast.walk(ast.parse(code))
                 if isinstance(node, ast.ImportFrom) and node.module == "stormfields"
                 for alias in node.names}
     assert imported
     assert imported <= set(stormfields.__all__)
+
+
+def test_readme_quick_tour_runs():
+    namespace = {}
+    exec(compile(readme_quick_tour(), "README.md quick tour", "exec"), namespace)
+    assert namespace["dep"] == pytest.approx(0.075, rel=1e-15)
+    assert namespace["chi"] == pytest.approx(0.784, abs=5e-4)
+    assert namespace["field"].shape == namespace["storm"].shape == (namespace["grid"].size,)
 
 
 @pytest.mark.parametrize("layer", sorted(TRACED))

@@ -160,11 +160,11 @@ class TestTailDependence:
 
     def test_definitional_identity_through_expansion(self):
         # chi evaluated through a model expansion is exactly the closed form
-        from stormfields import GneitingModel, SpaceTimeLag, delta
+        from stormfields import GneitingModel, delta_values
 
         expansion = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0).expansion()
         for (h, u) in (((1.0, 0.0), 1.0), ((3.0, -4.0), 2.5), ((0.0, 0.0), 7.0)):
-            dep = delta(expansion, SpaceTimeLag(h, u))
+            dep = float(delta_values(expansion, h, u))
             assert tail_dependence(dep) == 2.0 * (1.0 - std_normal_cdf(math.sqrt(dep)))
 
 

@@ -14,21 +14,18 @@ from stormfields import (
     SpaceTimeGrid,
     StormModelParams,
     bivariate_cdf_hr,
-    delta,
+    delta_values,
     equivalent_storm_params,
     delta_from_storm,
     bivariate_cdf_smith,
     husler_reiss_block,
-    husler_reiss_field,
     rescaled_factor,
-    simulate_storm_field,
     storm_block,
     SmoothnessExpansion,
-    SpaceTimeLag,
 )
 from stormfields import maxstable
 from stormfields.errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
-from stormfields.gaussfield import low_rank_factor, sample_replications
+from stormfields.gaussfield import sample_replications
 from stormfields.maxstable import normalize_maxima, transform_marginal
 from stormfields.numerics import std_normal_quantile
 from stormfields.streams import FIELD_PURPOSE, substream
@@ -88,48 +85,29 @@ class TestHuslerReissField:
     def test_determinism(self):
         grid = SpaceTimeGrid.regular(shape=(4, 4), times=(0.0, 1.0))
         factor = rescaled_factor(GNEITING, grid, 50)
-        a = husler_reiss_field(GNEITING, grid, 50, MarginalKind.FRECHET, 11, 3, factor=factor)
-        b = husler_reiss_field(GNEITING, grid, 50, MarginalKind.FRECHET, 11, 3, factor=factor)
-        c = husler_reiss_field(GNEITING, grid, 50, MarginalKind.FRECHET, 11, 4, factor=factor)
-        assert_array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
-        assert a.seed_info == (11, 3)
-
-    def test_factor_reuse_matches_internal_assembly(self):
-        grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0, 1.0))
-        factor = rescaled_factor(GNEITING, grid, 64)
-        a = husler_reiss_field(GNEITING, grid, 64, MarginalKind.FRECHET, 5, 0, factor=factor)
-        b = husler_reiss_field(GNEITING, grid, 64, MarginalKind.FRECHET, 5, 0)
-        assert_array_equal(a.values, b.values)
+        a, b, c = husler_reiss_block(factor, 50, MarginalKind.FRECHET, 11, [3, 3, 4])
+        assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_single_site_frechet_marginal(self):
         # the single-site law is exactly standard Frechet for every n
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
         factor = rescaled_factor(GNEITING, grid, 200)
-        values = np.array([
-            husler_reiss_field(GNEITING, grid, 200, MarginalKind.FRECHET, 21, i, factor=factor).values[0]
-            for i in range(2000)
-        ])
+        values = husler_reiss_block(factor, 200, MarginalKind.FRECHET, 21, range(2000))[:, 0]
         d = ks_distance(values, lambda y: np.exp(-1.0 / y))
         assert d <= 0.04
 
     def test_single_site_gumbel_marginal(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
         factor = rescaled_factor(GNEITING, grid, 200)
-        values = np.array([
-            husler_reiss_field(GNEITING, grid, 200, MarginalKind.GUMBEL, 22, i, factor=factor).values[0]
-            for i in range(2000)
-        ])
+        values = husler_reiss_block(factor, 200, MarginalKind.GUMBEL, 22, range(2000))[:, 0]
         d = ks_distance(values, lambda y: np.exp(-np.exp(-y)))
         assert d <= 0.04
 
     def test_single_site_weibull_marginal(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
         factor = rescaled_factor(GNEITING, grid, 200)
-        values = np.array([
-            husler_reiss_field(GNEITING, grid, 200, MarginalKind.WEIBULL, 23, i, factor=factor).values[0]
-            for i in range(2000)
-        ])
+        values = husler_reiss_block(factor, 200, MarginalKind.WEIBULL, 23, range(2000))[:, 0]
         assert np.all(values <= 0.0)
         d = ks_distance(values, lambda y: np.exp(np.minimum(y, 0.0)))
         assert d <= 0.04
@@ -138,11 +116,8 @@ class TestHuslerReissField:
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0.0]))
         n = 1000
         factor = rescaled_factor(GNEITING, grid, n)
-        fields = np.array([
-            husler_reiss_field(GNEITING, grid, n, MarginalKind.FRECHET, 31, i, factor=factor).values
-            for i in range(3000)
-        ])
-        dependence = delta(GNEITING.expansion(), SpaceTimeLag((2.0, 0.0), 0.0))
+        fields = husler_reiss_block(factor, n, MarginalKind.FRECHET, 31, range(3000))
+        dependence = delta_values(GNEITING.expansion(), (2.0, 0.0), 0.0)
         for y in (1.0, 2.0):
             empirical = np.mean((fields[:, 0] <= y) & (fields[:, 1] <= y))
             assert abs(empirical - bivariate_cdf_hr(y, y, dependence)) <= 0.04
@@ -150,13 +125,7 @@ class TestHuslerReissField:
     def test_small_n_rejected(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
         with pytest.raises(DomainError):
-            husler_reiss_field(GNEITING, grid, 1, MarginalKind.FRECHET, 0)
-
-    def test_factor_grid_size_mismatch(self):
-        grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
-        four_sites = low_rank_factor(GNEITING, SpaceTimeGrid.regular(shape=(2, 2), times=(0.0,)))
-        with pytest.raises(DomainError):
-            husler_reiss_field(GNEITING, grid, 50, MarginalKind.FRECHET, 0, factor=four_sites)
+            rescaled_factor(GNEITING, grid, 1)
 
     def test_factor_peak_memory_below_one_dense_matrix(self):
         # 20 x 20 x 3: N = 1200, 8 N^2 = 11.5 MB.  The dense matrix alone is
@@ -186,18 +155,16 @@ class TestHuslerReissField:
             transformed = transform_marginal(sample_replications(factor, rng, n), kind)
             return normalize_maxima(transformed.max(axis=0), n, kind)
 
-        singles = np.array([
-            husler_reiss_field(GNEITING, grid, n, kind, seed, r, factor=factor).values
-            for r in range(k)
-        ])
-        assert_array_equal(singles, np.array([transform_first(r) for r in range(k)]))
+        reference = np.array([transform_first(r) for r in range(k)])
         for cuts in ([], [1], [3], [2, 5], [1, 2, 3, 4, 5, 6]):
             edges = [0, *cuts, k]
             blocks = [
                 husler_reiss_block(factor, n, kind, seed, range(a, b))
                 for a, b in zip(edges[:-1], edges[1:])
             ]
-            assert_array_equal(np.concatenate(blocks), singles)
+            assert_array_equal(np.concatenate(blocks), reference)
+        generated = husler_reiss_block(factor, n, kind, seed, (r for r in range(k)))
+        assert_array_equal(generated, reference)
 
     def test_block_shape_and_small_n(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0]))
@@ -265,25 +232,22 @@ class TestStormSimulator:
 
     def test_determinism(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0, 1.0))
-        a = simulate_storm_field(self.PARAMS, grid, 77, 5)
-        b = simulate_storm_field(self.PARAMS, grid, 77, 5)
-        c = simulate_storm_field(self.PARAMS, grid, 77, 6)
-        assert_array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        a, b, c = storm_block(self.PARAMS, grid, 77, [5, 5, 6])
+        assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_batch_size_does_not_change_results(self, monkeypatch):
         # overshoot events past the stopping point are pointwise no-ops
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
         monkeypatch.setattr(maxstable, "_STORM_BATCH", 16)
-        a = simulate_storm_field(self.PARAMS, grid, 13, 0)
+        a = storm_block(self.PARAMS, grid, 13, [0])
         monkeypatch.setattr(maxstable, "_STORM_BATCH", 256)
-        b = simulate_storm_field(self.PARAMS, grid, 13, 0)
-        assert_array_equal(a.values, b.values)
+        b = storm_block(self.PARAMS, grid, 13, [0])
+        assert_array_equal(a, b)
 
     def test_positive_values(self):
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
-        field = simulate_storm_field(self.PARAMS, grid, 3, 0)
-        assert np.all(field.values > 0.0)
+        assert np.all(storm_block(self.PARAMS, grid, 3, [0]) > 0.0)
 
     def test_single_site_marginal_frechet(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
@@ -329,7 +293,7 @@ class TestStormSimulator:
     def test_requires_2d_grid(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0, 0.0]]), np.array([0.0]))
         with pytest.raises(DomainError):
-            simulate_storm_field(self.PARAMS, grid, 0)
+            storm_block(self.PARAMS, grid, 0, [0])
 
     def test_non_spd_sigma_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -363,13 +327,14 @@ class TestStormBlock:
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     def test_rows_equal_single_realizations(self, grid, batch, monkeypatch):
         monkeypatch.setattr(maxstable, "_STORM_BATCH", batch)
-        single = np.array([simulate_storm_field(self.PARAMS, grid, 29, r).values
-                           for r in range(12)])
+        single = np.concatenate([storm_block(self.PARAMS, grid, 29, [r]) for r in range(12)])
         for name, groups in self.GROUPINGS.items():
             for realizations in groups:
                 rows = storm_block(self.PARAMS, grid, 29, realizations)
                 assert rows.shape == (len(realizations), grid.size), name
                 assert rows.tobytes() == single[list(realizations)].tobytes(), name
+        generated = storm_block(self.PARAMS, grid, 29, (r for r in range(12)))
+        assert generated.tobytes() == single.tobytes()
 
     def test_non_finite_value_raises(self, monkeypatch):
         # a floor this high stops every realization after a few dozen events
@@ -564,9 +529,9 @@ class TestLocalFold:
         # the last batch size is the default, at which the dense reference runs
         for b in (1, 7, 200, 64):
             monkeypatch.setattr(maxstable, "_STORM_BATCH", b)
-            local[b] = simulate_storm_field(params, grid, seed, 0).values
+            local[b] = storm_block(params, grid, seed, [0])
         monkeypatch.setattr(maxstable, "_event_maxima", dense_event_maxima)
-        dense = simulate_storm_field(params, grid, seed, 0).values
+        dense = storm_block(params, grid, seed, [0])
         for values in local.values():
             assert values.tobytes() == dense.tobytes()
 
@@ -583,13 +548,11 @@ class TestEquivalentStormParams:
     def test_delta_roundtrip(self):
         expansion = SmoothnessExpansion(2.0, 2.0, 0.045, 0.03)
         params = equivalent_storm_params(expansion)
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            h = rng.uniform(-5.0, 5.0, 2)
-            u = float(rng.uniform(-5.0, 5.0))
-            direct = delta(expansion, SpaceTimeLag(tuple(h), u))
-            via_storm = delta_from_storm(params, h, u)
-            assert via_storm == pytest.approx(direct, rel=1e-12, abs=1e-15)
+        # one row (h1, h2, u) per lag
+        lags = np.random.default_rng(10).uniform(-5.0, 5.0, size=(100, 3))
+        direct = delta_values(expansion, lags[:, :2], lags[:, 2])
+        via_storm = delta_from_storm(params, lags[:, :2], lags[:, 2])
+        assert via_storm == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     def test_non_quadratic_rejected(self):
         with pytest.raises(UnsupportedModelError):
