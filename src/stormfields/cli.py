@@ -7,9 +7,10 @@ Three subcommands share one YAML configuration (see ``config``):
   byte-for-byte from its sidecar alone.
 * ``surfaces``  exports plot-ready correlation and tail-dependence grids
   (the contour data behind the model's dependence story).
-* ``validate``  compares empirical joint non-exceedance probabilities
-  against the closed-form bivariate distribution function and flags
-  discrepancies beyond a binomial 99% half-width plus 0.01.
+* ``validate``  lays out one cell per (site pair, threshold pair), in the
+  report's row order (pair-major), and compares each cell's empirical joint
+  non-exceedance probability with the closed-form bivariate distribution
+  function, flagging discrepancies beyond a binomial 99% half-width plus 0.01.
 
 Both constructions run through one path: ``_construction`` alone tells them
 apart, by a block function (``husler_reiss_block`` or ``storm_block`` bound
@@ -38,7 +39,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .covmodels import delta_values
-from .errors import ConfigError, StormFieldsError
+from .errors import ConfigError, StormFieldsError, UnsupportedModelError
 from .extremal import bivariate_cdf_hr, delta_from_storm, tail_dependence
 from .gaussfield import SpaceTimeGrid
 from .maxstable import (
@@ -192,32 +193,22 @@ def cmd_surfaces(cfg: RunConfig) -> int:
     return 0
 
 
-def _joint_counts(realizations, *, make_block, site_pairs, thresholds):
-    """Realizations in the range at or below (y1, y2), per site pair and threshold."""
+def _joint_counts(realizations, *, make_block, sites, thresholds):
+    """Per cell of (cells, k) ``sites`` and ``thresholds``: rows at or below all k thresholds."""
     values = make_block(realizations)
-    ia, ib = np.transpose(site_pairs)
-    y1, y2 = np.asarray(thresholds, dtype=float).T
-    return ((values[:, ia, None] <= y1) & (values[:, ib, None] <= y2)).sum(axis=0, dtype=np.int64)
+    return np.all(values[:, sites] <= thresholds, axis=-1).sum(axis=0, dtype=np.int64)
 
 
 def _measurement_grid(pairs):
-    """Smallest grid containing the base site and every lagged partner."""
-    spatial = [(0.0, 0.0)]
-    times = [0.0]
-    for h, u in pairs:
-        if h not in spatial:
-            spatial.append(h)
-        if u not in times:
-            times.append(u)
-    grid = SpaceTimeGrid(np.array(spatial), np.array(sorted(times)))
-    time_index = {t: k for k, t in enumerate(grid.time_points)}
-    space_index = {tuple(p): k for k, p in enumerate(map(tuple, grid.spatial_points))}
+    """The grid of the base site and every lagged partner, and each pair's two flat sites.
 
-    def flat(point, t):
-        return time_index[t] * grid.n_space + space_index[point]
-
-    site_pairs = [(flat((0.0, 0.0), 0.0), flat(h, u)) for h, u in pairs]
-    return grid, site_pairs
+    Spatial points come in first-seen order from the base (0, 0), times sorted.
+    """
+    spatial = list(dict.fromkeys([(0.0, 0.0), *(h for h, _ in pairs)]))
+    times = sorted({0.0, *(u for _, u in pairs)})
+    base = times.index(0.0) * len(spatial)
+    sites = [(base, times.index(u) * len(spatial) + spatial.index(h)) for h, u in pairs]
+    return SpaceTimeGrid(np.array(spatial), np.array(times)), np.array(sites)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -225,35 +216,32 @@ def cmd_validate(cfg: RunConfig) -> int:
     spec = cfg.validate
     if cfg.model.dimension != 2:
         raise ConfigError("validate requires a 2-d spatial model")
-    grid, site_pairs = _measurement_grid(spec.pairs)
+    grid, pair_sites = _measurement_grid(spec.pairs)
+    make_block, factor_fields, delta_of = _construction(cfg, spec.construction, grid, spec.n,
+                                                        MarginalKind.FRECHET)
 
-    make_block, _, delta_of = _construction(cfg, spec.construction, grid, spec.n,
-                                            MarginalKind.FRECHET)
-    total = spec.realizations
-    count_block = partial(_joint_counts, make_block=make_block, site_pairs=site_pairs,
-                          thresholds=spec.thresholds)
-    empirical = sum(_map_blocks(count_block, total, cfg.workers)) / total
-
-    # one closed-form call for every (pair, threshold) cell
-    lags, times = zip(*spec.pairs)
-    y1, y2 = np.asarray(spec.thresholds, dtype=float).T
-    theory = bivariate_cdf_hr(y1, y2, delta_of(np.array(lags), np.array(times))[:, None])
+    # one cell per (pair, threshold), pair-major: the report's row order
+    pair = np.repeat(np.arange(len(spec.pairs)), len(spec.thresholds))
+    lags, times = (np.array(column)[pair] for column in zip(*spec.pairs))
+    thresholds = np.array(spec.thresholds * len(spec.pairs), dtype=float)
+    count_block = partial(_joint_counts, make_block=make_block, sites=pair_sites[pair],
+                          thresholds=thresholds)
+    empirical = sum(_map_blocks(count_block, spec.realizations, cfg.workers)) / spec.realizations
+    theory = bivariate_cdf_hr(*thresholds.T, delta_of(lags, times))
     diff = np.abs(empirical - theory)
-    half_width = _Z_99 * np.sqrt(empirical * (1.0 - empirical) / total)
+    half_width = _Z_99 * np.sqrt(empirical * (1.0 - empirical) / spec.realizations)
     flagged = diff > half_width + 0.01
 
     report_path = Path(spec.report)
-    rows = (
-        [str(pi), *map(_format, (h1, h2, u, t1, t2, empirical[pi, ti], theory[pi, ti],
-                                 diff[pi, ti], half_width[pi, ti])), str(int(flagged[pi, ti]))]
-        for pi, ((h1, h2), u) in enumerate(spec.pairs)
-        for ti, (t1, t2) in enumerate(spec.thresholds)
-    )
+    columns = np.column_stack((pair, lags, times, thresholds, empirical, theory, diff,
+                               half_width, flagged)).tolist()
+    rows = ([str(int(i)), *map(_format, cells), str(int(flag))] for i, *cells, flag in columns)
     _write_csv(report_path,
                "pair,h1,h2,u,y1,y2,empirical,closed_form,abs_diff,half_width_99,flagged", rows)
     _write_sidecar(report_path.with_suffix(".json"), cfg, "validate", {
         "construction": spec.construction,
-        "realizations": total,
+        "realizations": spec.realizations,
+        **factor_fields,
         "report_file": report_path.name,
         "threshold_rule": "abs_diff > half_width_99 + 0.01",
     })
@@ -294,7 +282,7 @@ def main(argv=None) -> int:
     commands = {"simulate": cmd_simulate, "surfaces": cmd_surfaces, "validate": cmd_validate}
     try:
         return commands[args.command](load_config(args.config, overrides))
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (StormFieldsError, np.linalg.LinAlgError) as exc:

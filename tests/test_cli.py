@@ -23,7 +23,7 @@ from stormfields import (
     rescaled_factor,
     storm_block,
 )
-from stormfields import cli, maxstable
+from stormfields import cli, gaussfield, maxstable
 from stormfields.cli import _joint_counts, _map_blocks, _measurement_grid, main
 from stormfields import config
 from stormfields.config import load_config, parse_config
@@ -376,6 +376,18 @@ class TestSimulateCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "-c", str(cfg_path)]) == 3
 
+    @pytest.mark.parametrize("command", ["simulate", "surfaces"])
+    def test_unsupported_model_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # unequal spatial exponents have no single scaling sequence: the
+        # model choice is a configuration error, not a numerical failure
+        monkeypatch.chdir(tmp_path)
+        model = {"family": "bernstein", "spatial_scales": [1.0, 1.0],
+                 "spatial_exponents": [0.5, 1.0], "atoms": [[1.0, 1.0, 1.0]]}
+        cfg_path = write_config(tmp_path, {**BASE_CONFIG, "model": model})
+        assert main([command, "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: a single scaling sequence requires a common spatial exponent")
+
 
 class TestSurfacesCommand:
     def test_isotropic_surface(self, tmp_path, monkeypatch):
@@ -468,6 +480,10 @@ class TestValidateCommand:
         rows = (tmp_path / "report.csv").read_text().splitlines()
         cells = rows[1].split(",")
         assert abs(float(cells[6]) - float(cells[7])) <= 0.06
+        sidecar = json.loads((tmp_path / "report.json").read_text())
+        grid, _ = _measurement_grid((((1.0, 0.0), 1.0),))
+        assert 0 < sidecar["factor_rank"] <= grid.size
+        assert sidecar["factor_residual"] <= gaussfield.RANK_TOLERANCE
 
     def test_breach_exit_code(self, tmp_path, monkeypatch):
         # a huge intensity floor truncates real mass: empirical CDF inflates
@@ -505,7 +521,8 @@ SIDECAR_KEYS = {
     "simulate": {"realization", "construction", "marginal", "factor_rank", "factor_residual",
                  "csv_file"},
     "surfaces": {"kind", "csv_file"},
-    "validate": {"construction", "realizations", "report_file", "threshold_rule"},
+    "validate": {"construction", "realizations", "factor_rank", "factor_residual", "report_file",
+                 "threshold_rule"},
 }
 
 
@@ -552,38 +569,74 @@ class TestOutputFiles:
         assert not (tmp_path / "out.json").exists()
 
 
+def test_measurement_grid_layout():
+    # a repeated spatial lag, a negative time lag and a negative zero
+    pairs = (((1.0, 0.0), 0.0), ((0.0, 2.0), -1.0), ((1.0, 0.0), 2.0), ((-0.0, 0.0), 1.0),
+             ((0.0, 2.0), 0.0))
+    grid, sites = _measurement_grid(pairs)
+    # spatial points in first-seen order from the base, times sorted
+    np.testing.assert_array_equal(grid.spatial_points, [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(grid.time_points, [-1.0, 0.0, 1.0, 2.0])
+    assert sites.shape == (len(pairs), 2)
+    coords, times = grid.flat_coordinates()
+    for (h, u), (base, partner) in zip(pairs, sites):
+        assert (*coords[base], times[base]) == (0.0, 0.0, 0.0)
+        assert (*coords[partner], times[partner]) == (*h, u)
+
+
 class TestJointCounts:
     MODEL = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
     PAIRS = (((0.0, 0.0), 0.0), ((1.0, 0.0), 0.0), ((0.0, 0.0), 1.0))
+    BLOCK = np.array([
+        [1.0, 2.0, 0.5],
+        [0.5, 0.5, 3.0],
+        [2.0, 1.0, 1.0],
+        [0.9, 2.5, 0.4],
+    ])
 
     @staticmethod
-    def scalar_counts(rows, site_pairs, thresholds):
-        counts = np.zeros((len(site_pairs), len(thresholds)), dtype=np.int64)
+    def cells(site_tuples, thresholds):
+        """``(sites, thresholds)`` of every (site tuple, threshold) cell, tuple-major."""
+        sites = np.repeat(np.asarray(site_tuples), len(thresholds), axis=0)
+        return sites, np.tile(np.asarray(thresholds, dtype=float), (len(site_tuples), 1))
+
+    @staticmethod
+    def scalar_counts(rows, sites, thresholds):
+        counts = np.zeros(len(sites), dtype=np.int64)
         for values in rows:
-            for pi, (ia, ib) in enumerate(site_pairs):
-                for ti, (y1, y2) in enumerate(thresholds):
-                    if values[ia] <= y1 and values[ib] <= y2:
-                        counts[pi, ti] += 1
+            for ci, (cell_sites, cell_thresholds) in enumerate(zip(sites, thresholds)):
+                if all(values[i] <= y for i, y in zip(cell_sites, cell_thresholds)):
+                    counts[ci] += 1
         return counts
 
-    def test_hand_built_block_with_ties(self):
-        block = np.array([
-            [1.0, 2.0, 0.5],
-            [0.5, 0.5, 3.0],
-            [2.0, 1.0, 1.0],
-            [0.9, 2.5, 0.4],
-        ])
-        site_pairs = [(0, 1), (0, 2), (1, 1)]
-        # each value of the block equals some threshold coordinate
-        thresholds = [(1.0, 2.0), (0.5, 0.5), (2.0, 1.0), (1.0, 1.0), (3.0, 3.0)]
+    def hand_block_counts(self, site_tuples, thresholds):
+        """Counts of the hand-built block's rows 1-3, checked against the scalar loop."""
+        sites, cell_thresholds = self.cells(site_tuples, thresholds)
         counts = _joint_counts(
-            range(1, 4), make_block=lambda realizations: block[realizations],
-            site_pairs=site_pairs, thresholds=thresholds,
+            range(1, 4), make_block=lambda realizations: self.BLOCK[realizations],
+            sites=sites, thresholds=cell_thresholds,
         )
         assert counts.dtype == np.int64
-        np.testing.assert_array_equal(counts, self.scalar_counts(block[1:4], site_pairs, thresholds))
+        np.testing.assert_array_equal(
+            counts, self.scalar_counts(self.BLOCK[1:4], sites, cell_thresholds))
+        return counts.reshape(len(site_tuples), len(thresholds))
+
+    def test_hand_built_block_with_ties(self):
+        # each value of the block equals some threshold coordinate
+        counts = self.hand_block_counts(
+            [(0, 1), (0, 2), (1, 1)],
+            [(1.0, 2.0), (0.5, 0.5), (2.0, 1.0), (1.0, 1.0), (3.0, 3.0)],
+        )
         # pair (0, 1): row 1 sits exactly on (0.5, 0.5) and row 2 on (2.0, 1.0)
         np.testing.assert_array_equal(counts[0], [1, 1, 2, 1, 3])
+
+    def test_three_site_cells(self):
+        counts = self.hand_block_counts(
+            [(0, 1, 2), (2, 0, 1), (1, 1, 0)],
+            [(2.0, 2.5, 1.0), (0.5, 0.5, 3.0), (1.0, 1.0, 1.0), (3.0, 3.0, 3.0)],
+        )
+        # triple (0, 1, 2): rows 2 and 3 each touch (2.0, 2.5, 1.0); row 1 sits on (0.5, 0.5, 3.0)
+        np.testing.assert_array_equal(counts[0], [2, 1, 0, 3])
 
     def test_block_helpers_of_both_constructions(self):
         # the block functions as _construction binds them
@@ -600,12 +653,14 @@ class TestJointCounts:
             np.testing.assert_array_equal(make_block(range(3, 11)), rows, err_msg=name)
             # threshold 1 + pi sits exactly on the first row's values of pair pi
             thresholds = [(1.0, 1.0)] + [(rows[0, ia], rows[0, ib]) for ia, ib in site_pairs]
+            sites, cell_thresholds = self.cells(site_pairs, thresholds)
             counts = _joint_counts(
-                range(3, 11), make_block=make_block, site_pairs=site_pairs, thresholds=thresholds,
+                range(3, 11), make_block=make_block, sites=sites, thresholds=cell_thresholds,
             )
             np.testing.assert_array_equal(
-                counts, self.scalar_counts(rows, site_pairs, thresholds), err_msg=name
+                counts, self.scalar_counts(rows, sites, cell_thresholds), err_msg=name
             )
+            counts = counts.reshape(len(site_pairs), len(thresholds))
             assert np.all(np.diagonal(counts[:, 1:]) >= 1), name
 
 
