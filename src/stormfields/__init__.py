@@ -38,21 +38,13 @@ from .errors import (
     StormFieldsError,
     UnsupportedModelError,
 )
-from .extremal import (
-    bivariate_cdf_hr,
-    bivariate_cdf_smith,
-    delta_from_storm,
-    exponent_measure,
-    pickands,
-    smith_cdf_spatial,
-    smith_cdf_temporal,
-    tail_dependence,
-)
+from .extremal import bivariate_cdf_hr, exponent_measure, pickands, tail_dependence
 from .gaussfield import SpaceTimeGrid, build_covariance_matrix, low_rank_factor
 from .maxstable import (
     DEFAULT_INTENSITY_FLOOR,
     MarginalKind,
     StormModelParams,
+    delta_from_storm,
     equivalent_storm_params,
     husler_reiss_block,
     rescaled_factor,
@@ -71,11 +63,10 @@ __all__ = [
     "ConfigError", "DomainError", "FactorizationError", "NotPositiveDefiniteError",
     "StormFieldsError", "UnsupportedModelError",
     # extremal
-    "bivariate_cdf_hr", "bivariate_cdf_smith", "delta_from_storm", "exponent_measure",
-    "pickands", "smith_cdf_spatial", "smith_cdf_temporal", "tail_dependence",
+    "bivariate_cdf_hr", "exponent_measure", "pickands", "tail_dependence",
     # gaussfield
     "SpaceTimeGrid", "build_covariance_matrix", "low_rank_factor",
     # maxstable
-    "DEFAULT_INTENSITY_FLOOR", "MarginalKind", "StormModelParams", "equivalent_storm_params",
-    "husler_reiss_block", "rescaled_factor", "storm_block",
+    "DEFAULT_INTENSITY_FLOOR", "MarginalKind", "StormModelParams", "delta_from_storm",
+    "equivalent_storm_params", "husler_reiss_block", "rescaled_factor", "storm_block",
 ]

@@ -20,8 +20,8 @@ over contiguous realization ranges, installed once per worker process.  A row
 depends only on its realization's Philox substream, so no output depends on
 the worker count or on the ranges.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 validation-threshold breach.
+Exit codes: 0 success, 2 configuration error (an unwritable output path
+included), 3 numerical failure, 4 validation-threshold breach.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from . import __version__
 from .config import RunConfig, load_config
 from .covmodels import delta_values
 from .errors import ConfigError, StormFieldsError, UnsupportedModelError
-from .extremal import bivariate_cdf_hr, delta_from_storm, tail_dependence
+from .extremal import bivariate_cdf_hr, tail_dependence
 from .gaussfield import SpaceTimeGrid
 from .maxstable import (
     MarginalKind,
+    delta_from_storm,
     husler_reiss_block,
     rescaled_factor,
     storm_block,
@@ -64,10 +65,18 @@ def _float_rows(*columns):
     return (map(_format, row) for row in np.column_stack(columns).tolist())
 
 
+def _open_output(path: Path):
+    """``path`` opened for UTF-8 text with LF endings; an ``OSError`` is a ``ConfigError``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     """``header`` and one line per row of cell strings, UTF-8 with LF endings."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _open_output(path) as handle:
         handle.write(header + "\n")
         for row in rows:
             handle.write(",".join(row) + "\n")
@@ -77,7 +86,7 @@ def _write_sidecar(path: Path, cfg: RunConfig, command: str, fields: dict) -> No
     """JSON sidecar: the command, config echo, master seed and library version, plus ``fields``."""
     payload = {"command": command, "config": cfg.raw, "master_seed": cfg.seed,
                "library_version": __version__, **fields}
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _open_output(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

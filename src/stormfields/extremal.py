@@ -11,10 +11,12 @@ The joint CDF is exp(-V(1/y1, 1/y2; delta)), the Pickands function is
 V(lam, 1 - lam; delta) and the tail dependence coefficient is
 2 - V(1, 1; delta).  Both constructions share the kernel: for rescaled
 Gaussian maxima delta comes from the correlation model's small-lag
-expansion (``covmodels.delta_values``), and for the storm-profile model it
-is the quadratic form of ``delta_from_storm``, because Smith's storm model
-is Brown-Resnick with a quadratic variogram (Kabluchko, Schlather & de Haan
-2009, Ann. Probab. 37).
+expansion (``covmodels.delta_values``), and for the storm-profile model from
+``maxstable.delta_from_storm``, because Smith's storm model is Brown-Resnick
+with a quadratic variogram (Kabluchko, Schlather & de Haan 2009, Ann.
+Probab. 37).  The paper's form of the storm CDF, exp{-Phi(A12)/y1 -
+Phi(A21)/y2} with Aij = (2 s3^2 log(yj/yi) + s3^2 a^2 + u^2) /
+(2 s3 sqrt(s3^2 a^2 + u^2)), is this one, since s3^2 a^2 + u^2 = 4 s3^2 delta.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .maxstable import StormModelParams
 from .numerics import std_normal_cdf
 
 __all__ = [
@@ -30,10 +31,6 @@ __all__ = [
     "exponent_measure",
     "pickands",
     "tail_dependence",
-    "bivariate_cdf_smith",
-    "smith_cdf_spatial",
-    "smith_cdf_temporal",
-    "delta_from_storm",
 ]
 
 # Phi(40) rounds to 1 in double precision with error < 1e-300, so larger
@@ -110,58 +107,3 @@ def tail_dependence(delta):
     delta = 0) to 0 (asymptotic independence as delta grows).
     """
     return _float_or_array(2.0 - _exponent_measure_w(1.0, 1.0, delta))
-
-
-def delta_from_storm(params: StormModelParams, h, u):
-    """Dependence parameter of the storm model at lags (h, u); ``h`` has shape (..., 2).
-
-    delta(h, u) = h' sigma_space^{-1} h / 4 + u^2 / (4 sigma_time_sq).  The
-    temporal coefficient 1/(4 sigma_time_sq) follows from matching the
-    storm-model CDF to the rescaled-Gaussian form (and equally from the
-    quadratic expansion correspondence sigma_time_sq = 1/(4 C2)).
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape[-1:] != (2,):
-        raise DomainError("h must have a last axis of length 2")
-    p = params.spatial_precision
-    x, y = h[..., 0], h[..., 1]
-    quad = (x * p[0, 0] + y * p[1, 0]) * x + (x * p[0, 1] + y * p[1, 1]) * y
-    u = np.asarray(u, dtype=float)
-    return _float_or_array(0.25 * quad + 0.25 * u * u / params.sigma_time_sq)
-
-
-def bivariate_cdf_smith(y1, y2, h, u, params: StormModelParams):
-    """Bivariate CDF of the storm-profile field at space lag h and time lag u.
-
-    With a = a(h) the Mahalanobis space lag and s3^2 the temporal variance,
-    the paper writes it as
-
-        F(y1, y2) = exp{ -Phi(A12)/y1 - Phi(A21)/y2 },
-        Aij = (2 s3^2 log(yj/yi) + s3^2 a^2 + u^2) / (2 s3 sqrt(s3^2 a^2 + u^2)).
-
-    Since s3^2 a^2 + u^2 = 4 s3^2 delta, A12 = log(y2/y1)/(2r) + r with
-    r = sqrt(delta): this is ``bivariate_cdf_hr`` at ``delta_from_storm``.
-    The zero lag is the complete-dependence boundary exp(-1/min(y1, y2)).
-    """
-    return bivariate_cdf_hr(y1, y2, delta_from_storm(params, h, u))
-
-
-def smith_cdf_spatial(y1, y2, h, params: StormModelParams):
-    """Zero-time-lag reduction of the storm-model CDF (purely spatial pairs).
-
-    F(y1, y2) = exp{ -Phi(a/2 + log(y2/y1)/a)/y1 - Phi(a/2 + log(y1/y2)/a)/y2 }
-    with a = a(h); this is the classical bivariate law of the spatial
-    Gaussian-profile model.
-    """
-    return bivariate_cdf_hr(y1, y2, delta_from_storm(params, h, 0.0))
-
-
-def smith_cdf_temporal(y1, y2, u, params: StormModelParams):
-    """Zero-space-lag reduction of the storm-model CDF (single-site pairs).
-
-    The temporal profile is a one-dimensional Gaussian bump with standard
-    deviation s3, so the spatial formula applies with the scaled lag
-    r = |u|/s3 in place of a(h).
-    """
-    return bivariate_cdf_hr(y1, y2, delta_from_storm(params, (0.0, 0.0), u))
-

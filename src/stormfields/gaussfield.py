@@ -99,8 +99,12 @@ class SpaceTimeGrid:
         shape = tuple(int(s) for s in np.atleast_1d(shape))
         if any(s < 1 for s in shape):
             raise DomainError("grid shape entries must be >= 1")
-        spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (len(shape),))
-        origin = np.broadcast_to(np.asarray(origin, dtype=float), (len(shape),))
+        spacing, origin = np.asarray(spacing, dtype=float), np.asarray(origin, dtype=float)
+        for name, value in (("spacing", spacing), ("origin", origin)):
+            if value.ndim > 1 or value.size not in (1, len(shape)):
+                raise DomainError(f"{name} must be one number or one per axis ({len(shape)})")
+        spacing = np.broadcast_to(spacing, (len(shape),))
+        origin = np.broadcast_to(origin, (len(shape),))
         axes = [origin[i] + spacing[i] * np.arange(shape[i]) for i in range(len(shape))]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)

@@ -2,8 +2,8 @@
 
 Construction one ("rescaled Gaussian maxima"): sample n independent copies
 of a stationary Gaussian field on a lag-shrunken grid, take their pointwise
-maximum, push it through the chosen marginal transform and apply the
-matching normalization.  The transforms are non-decreasing, so transforming
+maximum and push it through the chosen normalized marginal transform,
+``transform_marginal``.  The transforms are non-decreasing, so transforming
 the maximum equals the maximum of the transformed copies, at one Phi
 evaluation per site instead of n.  As n grows these fields converge to a
 max-stable limit whose bivariate distributions are available in closed form
@@ -13,6 +13,9 @@ Construction two ("storm profiles"): superpose Poisson-distributed events,
 each a scaled trivariate Gaussian bump in space-time, and record the
 pointwise maximum.  Event intensities arrive in decreasing order, which
 lets the simulation stop exactly once no future event can alter the grid.
+Its bivariate law is the same closed form at the dependence parameter
+``delta_from_storm``, the quadratic expansion that ``equivalent_storm_params``
+inverts.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ __all__ = [
     "StormModelParams",
     "DEFAULT_INTENSITY_FLOOR",
     "transform_marginal",
-    "normalize_maxima",
     "rescaled_factor",
     "husler_reiss_block",
     "storm_block",
     "equivalent_storm_params",
+    "delta_from_storm",
 ]
 
 # Clamp for Phi(z) before the marginal transforms: keeps logs finite while
@@ -64,41 +67,27 @@ class MarginalKind(str, Enum):
     WEIBULL = "weibull"
 
 
-def transform_marginal(z, kind: MarginalKind):
-    """Marginal transform of standard normal values, before normalization.
+def transform_marginal(z, n: int, kind: MarginalKind):
+    """Normalized marginal transform of the maximum z of n standard normal values.
 
-    The replication count enters through the outer normalization applied
-    after the pointwise maximum (see ``normalize_maxima``); the transformed
-    value itself is
+    With p = Phi(z), clamped away from 0 and 1 at the floating-point limits,
 
-        Frechet:  -1 / log(Phi(z))
-        Gumbel:   -log(-log(Phi(z)))
-        Weibull:  log(Phi(z))
+        Frechet:  -1 / log(p) / n
+        Gumbel:   -log(-log(p)) - log(n)
+        Weibull:  n log(p)
 
-    with Phi clamped away from 0 and 1 at the floating-point limits.  All
-    three are non-decreasing in z, so they may be applied to the pointwise
-    maximum of the replications rather than to each replication.
+    All three are non-decreasing in z, so they may be applied to the
+    pointwise maximum of the n replications rather than to each replication.
     """
-    kind = MarginalKind(kind)
-    p = np.clip(std_normal_cdf(z), _P_FLOOR, _P_CEIL)
-    if kind is MarginalKind.FRECHET:
-        return -1.0 / np.log(p)
-    if kind is MarginalKind.GUMBEL:
-        return -np.log(-np.log(p))
-    return np.log(p)
-
-
-def normalize_maxima(max_values, n: int, kind: MarginalKind):
-    """Outer normalization of the n-fold pointwise maximum."""
     if int(n) < 1:
         raise DomainError("n must be >= 1")
     kind = MarginalKind(kind)
-    max_values = np.asarray(max_values, dtype=float)
+    log_p = np.log(np.clip(std_normal_cdf(z), _P_FLOOR, _P_CEIL))
     if kind is MarginalKind.FRECHET:
-        return max_values / n
+        return -1.0 / log_p / n
     if kind is MarginalKind.GUMBEL:
-        return max_values - math.log(n)
-    return n * max_values
+        return -np.log(-log_p) - math.log(n)
+    return n * log_p
 
 
 def rescaled_factor(model: CorrelationModel, grid: SpaceTimeGrid, n: int) -> CholeskyFactor:
@@ -131,7 +120,7 @@ def husler_reiss_block(factor: CholeskyFactor, n: int, kind: MarginalKind, seed:
     for row, realization in enumerate(realizations):
         rng = substream(int(seed), FIELD_PURPOSE, realization)
         maxima[row] = sample_replications(factor, rng, int(n)).max(axis=0)
-    return normalize_maxima(transform_marginal(maxima, kind), int(n), kind)
+    return transform_marginal(maxima, int(n), kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,3 +428,20 @@ def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,
         buffer=buffer,
         intensity_floor=intensity_floor,
     )
+
+
+def delta_from_storm(params: StormModelParams, h, u):
+    """Dependence parameter of the storm model at lags (h, u); ``h`` has shape (..., 2).
+
+    delta(h, u) = h' sigma_space^{-1} h / 4 + u^2 / (4 sigma_time_sq), the
+    quadratic expansion that ``equivalent_storm_params`` inverts.  At this
+    delta the storm model's bivariate law is ``extremal.bivariate_cdf_hr``.
+    Scalar lags return a Python float.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.shape[-1:] != (2,):
+        raise DomainError("h must have a last axis of length 2")
+    u = np.asarray(u, dtype=float)
+    quad = _spatial_quad(params.spatial_precision, h[..., 0], h[..., 1])
+    delta = 0.25 * quad + 0.25 * u * u / params.sigma_time_sq
+    return float(delta) if np.ndim(delta) == 0 else delta

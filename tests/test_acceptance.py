@@ -20,8 +20,8 @@ from stormfields import (
     SpaceTimeGrid,
     StormModelParams,
     bivariate_cdf_hr,
-    bivariate_cdf_smith,
     build_covariance_matrix,
+    delta_from_storm,
     delta_values,
     exponent_measure,
     husler_reiss_block,
@@ -30,13 +30,12 @@ from stormfields import (
     rescaled_factor,
     scaling_sequences,
     scaling_sequences_from_log,
-    smith_cdf_spatial,
-    smith_cdf_temporal,
     storm_block,
     variogram_to_covariance,
 )
 from stormfields.cli import main
 from stormfields.gaussfield import RANK_TOLERANCE
+from storm_oracles import oracle_cdf_smith, oracle_cdf_spatial, oracle_cdf_temporal
 
 Z99 = 2.5758293035489004
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
@@ -56,7 +55,7 @@ def half_width(p_hat, n):
 
 
 def test_criterion_01_closed_form_consistency():
-    """Storm-model CDF equals the rescaled-Gaussian CDF at the mapped delta."""
+    """The storm CDF, the Huesler-Reiss kernel at delta_from_storm, is the paper's A_ij form."""
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(1000):
@@ -66,19 +65,18 @@ def test_criterion_01_closed_form_consistency():
         y1, y2 = rng.uniform(0.1, 10.0, 2)
         h = rng.uniform(-3.0, 3.0, 2)
         u = float(rng.uniform(-3.0, 3.0))
-        a_sq = float(h @ np.linalg.inv(sigma) @ h)
-        dependence = 0.25 * a_sq + 0.25 * u * u / s3sq
         diff = abs(
-            bivariate_cdf_smith(y1, y2, h, u, params) - bivariate_cdf_hr(y1, y2, dependence)
+            bivariate_cdf_hr(y1, y2, delta_from_storm(params, h, u))
+            - oracle_cdf_smith(y1, y2, h, u, params)
         )
         worst = max(worst, diff)
     ok = worst <= 1e-12
-    report(1, ok, f"max |F_storm - F_gauss_limit| = {worst:.3e} (tol 1e-12, 1000 draws)")
+    report(1, ok, f"max |F_storm - F_paper| = {worst:.3e} (tol 1e-12, 1000 draws)")
     assert ok
 
 
 def test_criterion_02_reduction_identities():
-    """The general bivariate formula matches its u = 0 and h = 0 reductions."""
+    """The storm CDF at u = 0 and at h = 0 matches the paper's two reductions."""
     rng = np.random.default_rng(1002)
     worst_u0 = 0.0
     worst_h0 = 0.0
@@ -92,13 +90,14 @@ def test_criterion_02_reduction_identities():
         while np.allclose(h, 0.0):
             h = rng.uniform(-3.0, 3.0, 2)
         worst_u0 = max(worst_u0, abs(
-            bivariate_cdf_smith(y1, y2, h, 0.0, params) - smith_cdf_spatial(y1, y2, h, params)
+            bivariate_cdf_hr(y1, y2, delta_from_storm(params, h, 0.0))
+            - oracle_cdf_spatial(y1, y2, h, params)
         ))
 
         u = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
         worst_h0 = max(worst_h0, abs(
-            bivariate_cdf_smith(y1, y2, (0.0, 0.0), u, params)
-            - smith_cdf_temporal(y1, y2, u, params)
+            bivariate_cdf_hr(y1, y2, delta_from_storm(params, (0.0, 0.0), u))
+            - oracle_cdf_temporal(y1, y2, u, params)
         ))
     ok = worst_u0 <= 1e-14 and worst_h0 <= 1e-14
     report(2, ok, f"max diff u=0: {worst_u0:.3e}, h=0: {worst_h0:.3e} (tol 1e-14, 1000 draws)")
@@ -212,7 +211,7 @@ def test_criterion_04_storm_monte_carlo():
     for label, (ia, ib, h, u) in pairs.items():
         for y in thresholds:
             empirical = float(np.mean((fields[:, ia] <= y) & (fields[:, ib] <= y)))
-            theory = bivariate_cdf_smith(y, y, h, u, params)
+            theory = bivariate_cdf_hr(y, y, delta_from_storm(params, h, u))
             margin = abs(empirical - theory) - (half_width(empirical, count) + 0.01)
             worst_margin = max(worst_margin, margin)
             ok = ok and margin <= 0.0

@@ -18,7 +18,7 @@ TRACED = {
     "gaussfield": ("build_covariance_matrix", "sample_replications"),
     "numerics": ("std_normal_cdf",),
     "maxstable": ("transform_marginal", "rescaled_factor", "storm_block"),
-    "extremal": ("bivariate_cdf_hr", "bivariate_cdf_smith"),
+    "extremal": ("bivariate_cdf_hr",),
     "streams": ("substream",),
 }
 

@@ -568,20 +568,52 @@ class TestOutputFiles:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command, key, target", [
+        ("simulate", "simulate.output_dir", "blocker/out"),
+        ("surfaces", "surfaces.output", "blocker/surfaces.csv"),
+        ("validate", "validate.report", "blocker/report.csv"),
+    ])
+    def test_unwritable_output_path_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                    command, key, target):
+        # a directory cannot be made under a regular file
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        (tmp_path / "blocker").write_text("", encoding="utf-8")
+        assert main([command, "-c", str(cfg_path), "--set", f"{key}={target}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write blocker/"), err
+
+
+# a repeated spatial lag, a negative time lag and a negative zero
+LAYOUT_PAIRS = (((1.0, 0.0), 0.0), ((0.0, 2.0), -1.0), ((1.0, 0.0), 2.0), ((-0.0, 0.0), 1.0),
+                ((0.0, 2.0), 0.0))
+
 
 def test_measurement_grid_layout():
-    # a repeated spatial lag, a negative time lag and a negative zero
-    pairs = (((1.0, 0.0), 0.0), ((0.0, 2.0), -1.0), ((1.0, 0.0), 2.0), ((-0.0, 0.0), 1.0),
-             ((0.0, 2.0), 0.0))
-    grid, sites = _measurement_grid(pairs)
+    grid, sites = _measurement_grid(LAYOUT_PAIRS)
     # spatial points in first-seen order from the base, times sorted
     np.testing.assert_array_equal(grid.spatial_points, [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     np.testing.assert_array_equal(grid.time_points, [-1.0, 0.0, 1.0, 2.0])
-    assert sites.shape == (len(pairs), 2)
+    assert sites.shape == (len(LAYOUT_PAIRS), 2)
     coords, times = grid.flat_coordinates()
-    for (h, u), (base, partner) in zip(pairs, sites):
+    for (h, u), (base, partner) in zip(LAYOUT_PAIRS, sites):
         assert (*coords[base], times[base]) == (0.0, 0.0, 0.0)
         assert (*coords[partner], times[partner]) == (*h, u)
+
+
+def test_benchmark_measurement_grid_matches_validate():
+    # perfbench/setup_state.py times the set-up of validate on its own copy
+    # of the layout; it is read and run here, not imported
+    root = Path(__file__).parents[1]
+    source = root / "perfbench" / "setup_state.py"
+    namespace = {"__name__": "setup_state"}
+    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), namespace)
+    example = load_config(root / "configs" / "example_validation.yaml").validate.pairs
+    for pairs in (example, LAYOUT_PAIRS):
+        grid, _ = _measurement_grid(pairs)
+        copy = namespace["measurement_grid"](pairs)
+        np.testing.assert_array_equal(copy.spatial_points, grid.spatial_points)
+        np.testing.assert_array_equal(copy.time_points, grid.time_points)
 
 
 class TestJointCounts:

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from stormfields import (
     StormModelParams,
     bivariate_cdf_hr,
-    bivariate_cdf_smith,
     delta_from_storm,
     exponent_measure,
     pickands,
-    smith_cdf_spatial,
-    smith_cdf_temporal,
     tail_dependence,
 )
 from stormfields.errors import DomainError
 from stormfields.numerics import std_normal_cdf
+from storm_oracles import oracle_cdf_smith, oracle_cdf_spatial, oracle_cdf_temporal
 
 EXP_2PHI1 = 0.18587339814818439986  # exp(-2 Phi(1))
 TWO_PHI1 = 1.6826894921370858972    # 2 Phi(1)
@@ -172,9 +170,8 @@ class TestStormClosedForms:
     PARAMS = StormModelParams(np.eye(2), 1.0)
 
     def test_zero_lag_complete_dependence(self):
-        assert bivariate_cdf_smith(1.0, 3.0, (0.0, 0.0), 0.0, self.PARAMS) == pytest.approx(
-            math.exp(-1.0), rel=1e-15
-        )
+        delta = delta_from_storm(self.PARAMS, (0.0, 0.0), 0.0)
+        assert bivariate_cdf_hr(1.0, 3.0, delta) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_spatial_reduction_identity_sigma(self):
         # a(h) = ||h|| = 5 under the identity; the u = 0 reduction matches
@@ -182,19 +179,18 @@ class TestStormClosedForms:
         rng = np.random.default_rng(3)
         for _ in range(50):
             y1, y2 = rng.uniform(0.1, 10.0, 2)
-            general = bivariate_cdf_smith(y1, y2, h, 0.0, self.PARAMS)
-            reduced = smith_cdf_spatial(y1, y2, h, self.PARAMS)
+            general = bivariate_cdf_hr(y1, y2, delta_from_storm(self.PARAMS, h, 0.0))
+            reduced = oracle_cdf_spatial(y1, y2, h, self.PARAMS)
             assert general == pytest.approx(reduced, abs=1e-15)
         expected = math.exp(
             -std_normal_cdf(2.5) * 2.0  # y1 = y2 = 1: both terms Phi(a/2)/1
         )
-        assert bivariate_cdf_smith(1.0, 1.0, h, 0.0, self.PARAMS) == pytest.approx(expected, rel=1e-14)
+        delta = delta_from_storm(self.PARAMS, h, 0.0)
+        assert bivariate_cdf_hr(1.0, 1.0, delta) == pytest.approx(expected, rel=1e-14)
 
     def test_temporal_reduction(self):
-        assert bivariate_cdf_smith(1.0, 1.0, (0.0, 0.0), 2.0, self.PARAMS) == pytest.approx(
-            EXP_2PHI1, rel=1e-14
-        )
-        assert smith_cdf_temporal(1.0, 1.0, 2.0, self.PARAMS) == pytest.approx(EXP_2PHI1, rel=1e-14)
+        delta = delta_from_storm(self.PARAMS, (0.0, 0.0), 2.0)
+        assert bivariate_cdf_hr(1.0, 1.0, delta) == pytest.approx(EXP_2PHI1, rel=1e-14)
 
     def test_temporal_reduction_general_variance(self):
         params = StormModelParams(np.eye(2), 4.0)
@@ -204,24 +200,9 @@ class TestStormClosedForms:
             u = rng.uniform(-5.0, 5.0)
             if u == 0.0:
                 continue
-            general = bivariate_cdf_smith(y1, y2, (0.0, 0.0), u, params)
-            reduced = smith_cdf_temporal(y1, y2, u, params)
+            general = bivariate_cdf_hr(y1, y2, delta_from_storm(params, (0.0, 0.0), u))
+            reduced = oracle_cdf_temporal(y1, y2, u, params)
             assert general == pytest.approx(reduced, abs=1e-15)
-
-    def test_matches_rescaled_gaussian_form(self):
-        # the two constructions share their bivariate law once delta is
-        # mapped through delta_from_storm; agreement is to machine precision
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(100):
-            params = StormModelParams(random_spd(rng), float(rng.uniform(0.1, 10.0)))
-            y1, y2 = rng.uniform(0.1, 10.0, 2)
-            h = rng.uniform(-3.0, 3.0, 2)
-            u = float(rng.uniform(-3.0, 3.0))
-            smith = bivariate_cdf_smith(y1, y2, h, u, params)
-            hr = bivariate_cdf_hr(y1, y2, delta_from_storm(params, h, u))
-            worst = max(worst, abs(smith - hr))
-        assert worst <= 1e-12
 
     def test_delta_from_storm_values(self):
         assert delta_from_storm(self.PARAMS, (0.0, 0.0), 0.0) == 0.0
@@ -234,45 +215,6 @@ class TestStormClosedForms:
         h = np.array([1.0, -1.0])
         expected = float(h @ np.linalg.inv(sigma) @ h) / 4.0
         assert delta_from_storm(params, h, 0.0) == pytest.approx(expected, rel=1e-14)
-
-
-# Test-local oracles: the storm-model CDF in the paper's A_ij form and its
-# u = 0 and h = 0 reductions, written out independently of the library's
-# exponent-measure kernel so that criteria 1 and 2 keep an independent check.
-def _mahalanobis(params, h):
-    h = np.asarray(h, dtype=float)
-    return math.sqrt(h @ np.linalg.inv(params.sigma_space) @ h)
-
-
-def oracle_cdf_smith(y1, y2, h, u, params):
-    a = _mahalanobis(params, h)
-    if a == 0.0 and u == 0.0:
-        return math.exp(-1.0 / min(y1, y2))
-    s3sq = params.sigma_time_sq
-    s3 = math.sqrt(s3sq)
-    denom = 2.0 * s3 * math.sqrt(s3sq * a * a + u * u)
-    shift = s3sq * a * a + u * u
-    log_ratio = math.log(y2 / y1)
-    term1 = float(std_normal_cdf((2.0 * s3sq * log_ratio + shift) / denom)) / y1
-    term2 = float(std_normal_cdf((-2.0 * s3sq * log_ratio + shift) / denom)) / y2
-    return math.exp(-term1 - term2)
-
-
-def _oracle_reduced(y1, y2, r):
-    if r == 0.0:
-        return math.exp(-1.0 / min(y1, y2))
-    log_ratio = math.log(y2 / y1)
-    term1 = float(std_normal_cdf(0.5 * r + log_ratio / r)) / y1
-    term2 = float(std_normal_cdf(0.5 * r - log_ratio / r)) / y2
-    return math.exp(-term1 - term2)
-
-
-def oracle_cdf_spatial(y1, y2, h, params):
-    return _oracle_reduced(y1, y2, _mahalanobis(params, h))
-
-
-def oracle_cdf_temporal(y1, y2, u, params):
-    return _oracle_reduced(y1, y2, abs(u) / math.sqrt(params.sigma_time_sq))
 
 
 def _storm_draw(rng):
@@ -293,7 +235,8 @@ class TestStormOracles:
             h = rng.uniform(-3.0, 3.0, 2)
             u = float(rng.uniform(-3.0, 3.0))
             worst = max(worst, abs(
-                bivariate_cdf_smith(y1, y2, h, u, params) - oracle_cdf_smith(y1, y2, h, u, params)
+                bivariate_cdf_hr(y1, y2, delta_from_storm(params, h, u))
+                - oracle_cdf_smith(y1, y2, h, u, params)
             ))
         assert worst <= 1e-14
 
@@ -307,13 +250,14 @@ class TestStormOracles:
             while np.allclose(h, 0.0):
                 h = rng.uniform(-3.0, 3.0, 2)
             u = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
+            spatial = bivariate_cdf_hr(y1, y2, delta_from_storm(params, h, 0.0))
+            temporal = bivariate_cdf_hr(y1, y2, delta_from_storm(params, (0.0, 0.0), u))
             worst = max(
                 worst,
-                abs(bivariate_cdf_smith(y1, y2, h, 0.0, params) - oracle_cdf_smith(y1, y2, h, 0.0, params)),
-                abs(smith_cdf_spatial(y1, y2, h, params) - oracle_cdf_spatial(y1, y2, h, params)),
-                abs(bivariate_cdf_smith(y1, y2, (0.0, 0.0), u, params)
-                    - oracle_cdf_smith(y1, y2, (0.0, 0.0), u, params)),
-                abs(smith_cdf_temporal(y1, y2, u, params) - oracle_cdf_temporal(y1, y2, u, params)),
+                abs(spatial - oracle_cdf_smith(y1, y2, h, 0.0, params)),
+                abs(spatial - oracle_cdf_spatial(y1, y2, h, params)),
+                abs(temporal - oracle_cdf_smith(y1, y2, (0.0, 0.0), u, params)),
+                abs(temporal - oracle_cdf_temporal(y1, y2, u, params)),
             )
         assert worst <= 1e-14
 
@@ -371,9 +315,6 @@ class TestVectorised:
             pickands(0.3, 0.5),
             tail_dependence(0.5),
             delta_from_storm(params, (1.0, 2.0), 0.5),
-            bivariate_cdf_smith(1.0, 2.0, (1.0, 2.0), 0.5, params),
-            smith_cdf_spatial(1.0, 2.0, (1.0, 2.0), params),
-            smith_cdf_temporal(1.0, 2.0, 0.5, params),
         ):
             assert type(value) is float
 

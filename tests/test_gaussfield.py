@@ -140,6 +140,13 @@ class TestSpaceTimeGrid:
         cube = SpaceTimeGrid.regular(shape=(2, 1, 2), spacing=0.5)
         assert_array_equal(cube.spatial_points, [[0, 0, 0], [0, 0, 0.5], [0.5, 0, 0], [0.5, 0, 0.5]])
 
+    @pytest.mark.parametrize("name, value", [
+        ("spacing", [1.0, 2.0, 3.0]), ("origin", [0.0, 0.0, 0.0]), ("origin", [[0.0, 0.0]]),
+    ])
+    def test_regular_per_axis_length_checked(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            SpaceTimeGrid.regular((3, 3), **{name: value})
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError):
             SpaceTimeGrid(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0]))

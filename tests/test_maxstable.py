@@ -17,7 +17,6 @@ from stormfields import (
     delta_values,
     equivalent_storm_params,
     delta_from_storm,
-    bivariate_cdf_smith,
     husler_reiss_block,
     rescaled_factor,
     storm_block,
@@ -26,7 +25,7 @@ from stormfields import (
 from stormfields import maxstable
 from stormfields.errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
 from stormfields.gaussfield import sample_replications
-from stormfields.maxstable import normalize_maxima, transform_marginal
+from stormfields.maxstable import transform_marginal
 from stormfields.numerics import std_normal_quantile
 from stormfields.streams import FIELD_PURPOSE, substream
 
@@ -46,18 +45,18 @@ def ks_distance(sample, cdf):
 
 class TestMarginalTransforms:
     def test_frechet_unit_point(self):
-        assert transform_marginal(Z_E_INV, MarginalKind.FRECHET) == pytest.approx(1.0, rel=1e-12)
+        assert transform_marginal(Z_E_INV, 1, MarginalKind.FRECHET) == pytest.approx(1.0, rel=1e-12)
 
     def test_gumbel_zero_point(self):
-        assert transform_marginal(Z_E_INV, MarginalKind.GUMBEL) == pytest.approx(0.0, abs=1e-12)
+        assert transform_marginal(Z_E_INV, 1, MarginalKind.GUMBEL) == pytest.approx(0.0, abs=1e-12)
 
     def test_weibull_minus_one_point(self):
-        assert transform_marginal(Z_E_INV, MarginalKind.WEIBULL) == pytest.approx(-1.0, rel=1e-12)
+        assert transform_marginal(Z_E_INV, 1, MarginalKind.WEIBULL) == pytest.approx(-1.0, rel=1e-12)
 
     def test_clamping_keeps_values_finite(self):
         extreme = np.array([-400.0, 400.0])
         for kind in MarginalKind:
-            out = transform_marginal(extreme, kind)
+            out = transform_marginal(extreme, 1, kind)
             assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("kind", list(MarginalKind))
@@ -65,20 +64,23 @@ class TestMarginalTransforms:
         # transforming the Gaussian maximum equals the maximum of the
         # transformed replications only if no step of one ulp lowers a value
         z = np.random.default_rng(20240).uniform(-8.0, 8.0, 200_000)
-        up = transform_marginal(np.nextafter(z, np.inf), kind)
-        assert np.all(up >= transform_marginal(z, kind))
+        up = transform_marginal(np.nextafter(z, np.inf), 1, kind)
+        assert np.all(up >= transform_marginal(z, 1, kind))
 
     def test_string_kind_accepted(self):
-        assert transform_marginal(Z_E_INV, "frechet") == pytest.approx(1.0, rel=1e-12)
+        assert transform_marginal(Z_E_INV, 1, "frechet") == pytest.approx(1.0, rel=1e-12)
 
     def test_normalization(self):
-        assert normalize_maxima(5.0, 10, MarginalKind.FRECHET) == 0.5
-        assert normalize_maxima(5.0, 10, MarginalKind.GUMBEL) == pytest.approx(5.0 - math.log(10))
-        assert normalize_maxima(-0.5, 10, MarginalKind.WEIBULL) == -5.0
+        # n = 10 rescales the n = 1 transform: divide, shift by log n, multiply
+        z = np.array([-2.0, Z_E_INV, 0.5, 3.0])
+        frechet, gumbel, weibull = (transform_marginal(z, 1, kind) for kind in MarginalKind)
+        assert_array_equal(transform_marginal(z, 10, MarginalKind.FRECHET), frechet / 10)
+        assert_array_equal(transform_marginal(z, 10, MarginalKind.GUMBEL), gumbel - math.log(10))
+        assert_array_equal(transform_marginal(z, 10, MarginalKind.WEIBULL), 10 * weibull)
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):
-            normalize_maxima(1.0, 0, MarginalKind.FRECHET)
+            transform_marginal(Z_E_INV, 0, MarginalKind.FRECHET)
 
 
 class TestHuslerReissField:
@@ -152,8 +154,7 @@ class TestHuslerReissField:
 
         def transform_first(realization):
             rng = substream(seed, FIELD_PURPOSE, realization)
-            transformed = transform_marginal(sample_replications(factor, rng, n), kind)
-            return normalize_maxima(transformed.max(axis=0), n, kind)
+            return transform_marginal(sample_replications(factor, rng, n), n, kind).max(axis=0)
 
         reference = np.array([transform_first(r) for r in range(k)])
         for cuts in ([], [1], [3], [2, 5], [1, 2, 3, 4, 5, 6]):
@@ -261,7 +262,7 @@ class TestStormSimulator:
         fields = storm_block(self.PARAMS, grid, 43, range(10_000))
         for y in (0.5, 1.0, 2.0):
             empirical = np.mean((fields[:, 0] <= y) & (fields[:, 1] <= y))
-            theory = bivariate_cdf_smith(y, y, (1.0, 0.0), 0.0, self.PARAMS)
+            theory = bivariate_cdf_hr(y, y, delta_from_storm(self.PARAMS, (1.0, 0.0), 0.0))
             assert abs(empirical - theory) <= 0.02
 
     def test_max_stability_smoke(self):
