@@ -107,16 +107,17 @@ def _run_installed_block(realizations):
 def _map_blocks(func, total: int, workers: int) -> list:
     """``func(range)`` over contiguous ranges of 0..total-1, in range order.
 
-    With more than one worker, a process pool of ``min(workers, CPUs)``
+    When ``min(workers, CPUs)`` is above one, a process pool of that many
     processes installs ``func`` once per worker (inherited under ``fork``,
-    pickled once under ``spawn``), and each task sends only its range.  The
-    realizations are cut into ``min(total, 8 * processes)`` ranges, so a
-    worker count above the CPU count adds no tasks.
+    pickled once under ``spawn``), and each task sends only its range;
+    otherwise every range runs in this process.  The realizations are cut
+    into ``min(total, 8 * processes)`` ranges, so a worker count above the
+    CPU count adds no tasks.
     """
     processes = min(workers, os.cpu_count() or 1)
     edges = np.linspace(0, total, min(total, max(1, processes * 8)) + 1, dtype=int).tolist()
     ranges = [range(start, stop) for start, stop in zip(edges, edges[1:])]
-    if workers <= 1 or len(ranges) <= 1:
+    if processes <= 1 or len(ranges) <= 1:
         return [func(realizations) for realizations in ranges]
     with ProcessPoolExecutor(min(processes, len(ranges)), initializer=_install_block,
                              initargs=(func,)) as pool:

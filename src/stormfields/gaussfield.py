@@ -2,13 +2,14 @@
 
 A field is drawn as L z with z i.i.d. standard normal, where L L' reproduces
 the correlation matrix C over the flattened grid.  ``low_rank_factor`` builds
-an (N, r) factor by diagonally pivoted Cholesky without forming C: it calls
-the model on the pivot columns only and stops once every site's residual
-variance is at most ``RANK_TOLERANCE``.  It needs no diagonal shift, because
-pivoting handles the semidefinite and numerically singular matrices of the
-rescaled-maxima construction natively (rank 1,214 of N = 3,600 on a
-30 x 30 x 4 grid at n = 100, a 35 MB factor).  ``build_covariance_matrix``
-forms C itself, as the dense reference the factor is checked against.
+an (N, r) factor by diagonally pivoted Cholesky without forming C: each step
+calls the model once, on the rows of C of its b pivot candidates, and it
+stops once every site's residual variance is at most ``RANK_TOLERANCE``.  It
+needs no diagonal shift, because pivoting handles the semidefinite and
+numerically singular matrices of the rescaled-maxima construction natively
+(rank 1,214 of N = 3,600 on a 30 x 30 x 4 grid at n = 100, a 35 MB factor).
+``build_covariance_matrix`` forms C itself, as the dense reference the factor
+is checked against.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ __all__ = [
 RANK_TOLERANCE = 1e-8
 
 # Pivot candidates ``low_rank_factor`` takes per step (b).  On the shrunken
-# 30 x 30 x 4 Gneiting grid (one BLAS thread) 16 gives rank 1,214 in 0.47 s;
-# 8 gives 1,189 in 0.55 s and 32 gives 1,252 in 0.44 s.
+# 30 x 30 x 4 Gneiting grid (one BLAS thread) 16 gives rank 1,214 in 0.48 s;
+# 8 gives 1,189 in 0.56 s and 32 gives 1,252 in 0.49 s.
 _PIVOT_BLOCK = 16
 
 
@@ -97,8 +98,8 @@ class SpaceTimeGrid:
     def regular(shape, spacing=1.0, origin=0.0, times=(0.0,)) -> "SpaceTimeGrid":
         """Axis-aligned rectangular grid, row-major in space."""
         shape = tuple(int(s) for s in np.atleast_1d(shape))
-        if any(s < 1 for s in shape):
-            raise DomainError("grid shape entries must be >= 1")
+        if not shape or any(s < 1 for s in shape):
+            raise DomainError(f"grid shape must be one or more entries >= 1, got shape={shape}")
         spacing, origin = np.asarray(spacing, dtype=float), np.asarray(origin, dtype=float)
         for name, value in (("spacing", spacing), ("origin", origin)):
             if value.ndim > 1 or value.size not in (1, len(shape)):
@@ -174,28 +175,6 @@ def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
     return out
 
 
-def _pivoted_block(block: np.ndarray):
-    """Pivoted Cholesky of a small residual block, overwriting it.
-
-    Takes the largest remaining diagonal entry as the next pivot while it
-    exceeds ``RANK_TOLERANCE``, which the first one does.  Returns the
-    accepted positions in order and the (k, k) lower-triangular factor of
-    the block on them, in that order.
-    """
-    variances = np.diag(block).copy()
-    accepted, columns = [], []
-    for _ in range(len(block)):
-        best = int(np.argmax(variances))
-        if not variances[best] > RANK_TOLERANCE:
-            break
-        column = block[:, best] / math.sqrt(variances[best])
-        block -= np.outer(column, column)
-        variances -= column ** 2
-        accepted.append(best)
-        columns.append(column)
-    return accepted, np.array(columns)[:, accepted].T
-
-
 def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
                     scale=None) -> CholeskyFactor:
     """Pivoted, rank-revealing Cholesky factor of the model correlation C.
@@ -204,12 +183,14 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
     C - L L', at or below ``RANK_TOLERANCE``; its largest entry is the
     factor's ``residual``.  C is never formed (Harbrecht, Peters & Schneider
     2012, *Appl. Numer. Math.* 62).  Each step takes the ``_PIVOT_BLOCK``
-    sites of largest residual variance, ties to the lowest flat index, and
-    factors the residual of C on them with pivoting, accepting a pivot only
-    while its residual variance exceeds the tolerance.  Then ``model.rho``
-    is evaluated on the accepted pivots' N columns only, the factor so far is
-    subtracted with one matrix product, and one triangular solve gives the
-    new columns of L.  So ``rho`` runs on N r values plus b x b per step.
+    sites of largest residual variance, ties to the lowest flat index,
+    evaluates ``model.rho`` once on their N-long rows of C and subtracts the
+    factor so far with one matrix product.  It then pivots greedily among
+    those residual rows: while the largest tracked variance exceeds the
+    tolerance, that candidate's row, less the columns the step has accepted
+    times their entries at it, over the square root of its variance, becomes
+    the next column of L, and every candidate's variance drops by the square
+    of that column at it.  So ``rho`` runs on b x N values per step.
     ``scale`` is as in ``build_covariance_matrix``.
 
     Row k of one (capacity, N) buffer holds column k of L; the buffer grows
@@ -224,41 +205,34 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
     """
     pts, times = _scaled_coordinates(model, grid, scale)
     size = grid.size
-
-    def correlation(h, u):
-        values = np.asarray(model.rho(h, u), dtype=float)
-        if not np.isfinite(values).all():
-            raise FactorizationError("the correlation model returned a non-finite value")
-        return values
-
     residual = np.ones(size)  # C has unit diagonal, as build_covariance_matrix's
     rows = np.empty((0, size))
     rank = 0
     while residual.max() > RANK_TOLERANCE:
         pivots = np.argsort(-residual, kind="stable")[:_PIVOT_BLOCK]
+        # rows C[p, :] of the candidates, as (pivot, time, point)
         at_time, at_point = np.divmod(pivots, grid.n_space)
-        block = correlation(pts[at_point, None] - pts[at_point],
-                            np.abs(times[at_time, None] - times[at_time]))
-        block -= rows[:rank, pivots].T @ rows[:rank, pivots]
-        # the tracked variances, so the first pivot, the largest, is accepted
-        np.fill_diagonal(block, residual[pivots])
-        accepted, triangle = _pivoted_block(block)
-        pivots = pivots[accepted]
-        # rows C[p, :] of the accepted pivots, as (pivot, time, point)
-        at_time, at_point = np.divmod(pivots, grid.n_space)
-        values = correlation(pts[None, None, :, :] - pts[at_point, None, None, :],
-                             np.abs(times[None, :, None] - times[at_time, None, None]))
+        values = np.asarray(model.rho(pts[None, None, :, :] - pts[at_point, None, None, :],
+                                      np.abs(times[None, :, None] - times[at_time, None, None])),
+                            dtype=float)
+        if not np.isfinite(values).all():
+            raise FactorizationError("the correlation model returned a non-finite value")
         values = values.reshape(len(pivots), size) - rows[:rank, pivots].T @ rows[:rank]
         if rank + len(pivots) > len(rows):
             # no view of ``rows`` is alive here, so it may move
             rows.resize((min(size, max(rank + len(pivots), len(rows) * 9 // 8)), size),
                         refcheck=False)
-        for j in range(len(pivots)):
-            earlier = triangle[j, :j] @ rows[rank:rank + j]
-            rows[rank + j] = (values[j] - earlier) / triangle[j, j]
-        residual -= np.einsum("ij,ij->j", rows[rank:rank + len(pivots)],
-                              rows[rank:rank + len(pivots)])
-        rank += len(pivots)
+        start, variances = rank, residual[pivots]
+        for _ in pivots:
+            best = int(np.argmax(variances))
+            if not variances[best] > RANK_TOLERANCE:
+                break
+            # ``values`` already lacks the earlier steps' rows; take off this step's
+            rows[rank] = ((values[best] - rows[start:rank, pivots[best]] @ rows[start:rank])
+                          / math.sqrt(variances[best]))
+            variances -= rows[rank, pivots] ** 2
+            rank += 1
+        residual -= np.einsum("ij,ij->j", rows[start:rank], rows[start:rank])
         if residual.min() < -RANK_TOLERANCE:
             site = int(np.argmin(residual))
             raise FactorizationError(

@@ -712,9 +712,11 @@ def test_map_blocks_ranges_and_pool(total, workers):
     # non-empty ranges whose indices, joined in order, are exactly 0..total-1
     assert all(isinstance(indices, range) and len(indices) > 0 for indices, _, _ in pooled)
     np.testing.assert_array_equal(np.concatenate([i for i, _, _ in pooled]), np.arange(total))
-    # more than one range runs in worker processes, one range in this one
+    # more than one range on more than one CPU runs in worker processes;
+    # otherwise every range runs in this one
     pids = {pid for _, _, pid in pooled}
-    assert (os.getpid() not in pids) if len(pooled) > 1 else (pids == {os.getpid()})
+    pool = len(pooled) > 1 and min(workers, os.cpu_count() or 1) > 1
+    assert (os.getpid() not in pids) if pool else (pids == {os.getpid()})
     serial = _map_blocks(func, total, 1)
     rows = np.concatenate([values for _, values, _ in pooled])
     np.testing.assert_array_equal(rows, np.concatenate([values for _, values, _ in serial]))
@@ -747,10 +749,31 @@ def test_map_blocks_caps_pool_at_cpu_count(monkeypatch):
         # every realization once, in order, in at most 8 ranges per process
         assert sum(ranges, []) == list(range(40))
         assert len(ranges) <= 8 * processes
-        assert sizes.pop() == processes
-    # the serial-or-pool choice still follows workers alone
+        # one process runs here, with no pool
+        assert (sizes.pop() == processes) if processes > 1 else (sizes == [])
+    # one worker runs here too, whatever the CPU count
     assert sum(_map_blocks(lambda r: list(r), 40, 1), []) == list(range(40))
     assert sizes == []
+
+
+def test_one_cpu_runs_without_a_pool(tmp_path, monkeypatch):
+    # two workers on one CPU start no pool, and write the one-worker report
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(BASE_CONFIG)
+    cfg["validate"] = {"construction": "husler_reiss", "n": 20, "realizations": 1000,
+                       "pairs": [{"h": [1.0, 0.0], "u": 1.0}], "thresholds": [1.0]}
+    cfg_path = write_config(tmp_path, cfg)
+    serial = main(["validate", "-c", str(cfg_path), "--workers", "1",
+                   "--set", "validate.report=r1.csv"])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert main(["validate", "-c", str(cfg_path), "--workers", "2",
+                 "--set", "validate.report=r2.csv"]) == serial
+    assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
 def test_version_flag(capsys):

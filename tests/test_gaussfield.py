@@ -147,6 +147,10 @@ class TestSpaceTimeGrid:
         with pytest.raises(DomainError, match=name):
             SpaceTimeGrid.regular((3, 3), **{name: value})
 
+    def test_regular_empty_shape_rejected(self):
+        with pytest.raises(DomainError, match="shape"):
+            SpaceTimeGrid.regular(shape=())
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError):
             SpaceTimeGrid(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0]))
@@ -266,10 +270,10 @@ class TestLowRankFactor:
         assert factor.residual <= RANK_TOLERANCE
         if case in self.LOW_RANK:
             assert factor.rank < size
-        # rho runs on the accepted pivots' columns and a b x b block per step,
-        # one call each, in at most ceil(N / b) steps
-        steps = len(model.time_lags) // 2
-        assert model.evaluations == size * factor.rank + _PIVOT_BLOCK ** 2 * steps
+        # rho runs once per step, on the b candidates' rows, in at most
+        # ceil(N / b) steps
+        steps = len(model.time_lags)
+        assert model.evaluations == size * min(_PIVOT_BLOCK, size) * steps
         assert steps <= math.ceil(size / _PIVOT_BLOCK)
 
     def test_full_rank_on_the_validate_grid(self):
@@ -289,6 +293,15 @@ class TestLowRankFactor:
         assert_allclose(factor.lower[:, 0], matrix[:, 0], rtol=1e-15, atol=0.0)
         again = low_rank_factor(GNEITING, self.GRID, HR_GRID_SCALE)
         assert again.lower.tobytes() == factor.lower.tobytes()
+
+    def test_dependent_sites_give_rank_one(self):
+        # at zero scale every lag is (0, 0), so C is all ones: the first pivot
+        # leaves no residual and every later candidate of its block is rejected
+        grid = SpaceTimeGrid.regular(shape=(5, 5), times=(0.0, 1.0, 2.0))
+        factor = low_rank_factor(GNEITING, grid, scale=(0.0, 0.0))
+        assert factor.rank == 1
+        assert factor.residual == 0.0
+        assert_array_equal(factor.lower, np.ones((grid.size, 1)))
 
     def test_indefinite_raises(self):
         # three sites at correlation -0.9: C has the eigenvalue 1 - 1.8
