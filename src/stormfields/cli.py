@@ -139,6 +139,8 @@ def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: 
         no_factor = {"factor_rank": None, "factor_residual": None}
         return make_block, no_factor, partial(delta_from_storm, cfg.storm)
 
+    if cfg.model.dimension != grid.dimension:
+        raise ConfigError(f"the husler_reiss construction requires a {grid.dimension}-d model")
     factor = rescaled_factor(cfg.model, grid, n)
     make_block = partial(husler_reiss_block, factor, n, kind, cfg.seed)
     factor_fields = {"factor_rank": factor.rank, "factor_residual": factor.residual}
@@ -167,31 +169,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_surfaces(cfg: RunConfig) -> int:
-    """Export `hnorm,u,rho,chi` (isotropic) or `h1,h2,rho,chi` (anisotropic) grids."""
+    """Export `hnorm,u,rho,chi` grids of an isotropic model, or `h1,h2,rho,chi` at u = 0.
+
+    An anisotropic model's grid spans [-h_max, h_max] in h1 and h2, n_h points per axis.
+    """
     spec = cfg.surfaces
     model = cfg.model
     expansion = model.expansion()
 
-    if spec.kind == "isotropic":
-        if expansion.anisotropy is not None:
-            raise ConfigError(
-                "surfaces.kind isotropic cannot be used with an anisotropic model"
-            )
-        radii = np.linspace(0.0, spec.h_max, spec.n_h)
-        lags = np.linspace(0.0, spec.u_max, spec.n_u)
-        first, second = np.meshgrid(radii, lags, indexing="ij")
+    if expansion.anisotropy is None:
+        kind, header = "isotropic", "hnorm,u,rho,chi"
+        first, second = np.meshgrid(np.linspace(0.0, spec.h_max, spec.n_h),
+                                    np.linspace(0.0, spec.u_max, spec.n_u), indexing="ij")
         h_vec = np.zeros(first.shape + (model.dimension,))
         h_vec[..., 0] = first
         u = second
-        header = "hnorm,u,rho,chi"
     else:
-        if expansion.anisotropy is None:
-            raise ConfigError("surfaces.kind anisotropic requires model.anisotropy")
-        axis = np.linspace(-spec.extent, spec.extent, spec.n_grid)
+        kind, header = "anisotropic", "h1,h2,rho,chi"
+        axis = np.linspace(-spec.h_max, spec.h_max, spec.n_h)
         first, second = np.meshgrid(axis, axis, indexing="ij")
         h_vec = np.stack([first, second], axis=-1)
         u = 0.0
-        header = "h1,h2,rho,chi"
     rho = np.asarray(model.rho(h_vec, u), dtype=float)
     chi = tail_dependence(delta_values(expansion, h_vec, u))
 
@@ -199,7 +197,7 @@ def cmd_surfaces(cfg: RunConfig) -> int:
     rows = _float_rows(first.ravel(), second.ravel(), rho.ravel(), chi.ravel())
     _write_csv(out_path, header, rows)
     _write_sidecar(out_path.with_suffix(".json"), cfg, "surfaces",
-                   {"kind": spec.kind, "csv_file": out_path.name})
+                   {"kind": kind, "csv_file": out_path.name})
     return 0
 
 
@@ -224,8 +222,6 @@ def _measurement_grid(pairs):
 def cmd_validate(cfg: RunConfig) -> int:
     """Monte-Carlo check of joint probabilities against the closed forms."""
     spec = cfg.validate
-    if cfg.model.dimension != 2:
-        raise ConfigError("validate requires a 2-d spatial model")
     grid, pair_sites = _measurement_grid(spec.pairs)
     make_block, factor_fields, delta_of = _construction(cfg, spec.construction, grid, spec.n,
                                                         MarginalKind.FRECHET)

@@ -50,13 +50,10 @@ __all__ = ["RunConfig", "SurfacesSpec", "ValidateSpec", "load_config", "parse_co
 
 @dataclass(frozen=True)
 class SurfacesSpec:
-    kind: str
     h_max: float
     u_max: float
     n_h: int
     n_u: int
-    extent: float
-    n_grid: int
     output: str
 
 
@@ -290,11 +287,9 @@ _SECTIONS = {
         "intensity_floor": (DEFAULT_INTENSITY_FLOOR, _POSITIVE),
         "from_model": (False, _flag),
     },
-    "surfaces": {
-        "kind": ("isotropic", partial(_choice, choices=("isotropic", "anisotropic"))),
-        "h_max": (20.0, _POSITIVE), "u_max": (30.0, _POSITIVE),  # isotropic
+    "surfaces": {  # u_max and n_u only for an isotropic model
+        "h_max": (20.0, _POSITIVE), "u_max": (30.0, _POSITIVE),
         "n_h": (201, _count(2)), "n_u": (301, _count(2)),
-        "extent": (12.0, _POSITIVE), "n_grid": (201, _count(2)),  # anisotropic
         "output": ("surfaces.csv", _csv_path),
     },
     "validate": {

@@ -227,7 +227,10 @@ class PoweredExponential:
 def _normalized_atoms(atoms):
     cleaned = []
     for atom in atoms:
-        v1, v2, w = (float(x) for x in atom)
+        atom = [_finite(x, "mixture atom entries") for x in atom]
+        if len(atom) != 3:
+            raise DomainError("each mixture atom must be a (v1, v2, weight) triple")
+        v1, v2, w = atom
         if v1 < 0.0 or v2 < 0.0:
             raise DomainError("mixture atom scales must be >= 0")
         if w <= 0.0:

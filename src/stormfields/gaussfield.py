@@ -59,6 +59,8 @@ class SpaceTimeGrid:
         times = np.atleast_1d(np.asarray(self.time_points, dtype=float))
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] not in (1, 2, 3):
             raise DomainError("spatial_points must be an (n, d) array with d in {1, 2, 3}")
+        if times.ndim != 1 or times.size < 1:
+            raise DomainError("time_points must be a non-empty 1-d array")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(times)):
             raise DomainError("grid coordinates must be finite")
         if len(np.unique(pts, axis=0)) != len(pts):

@@ -303,7 +303,7 @@ def test_criterion_08_anisotropic_level_set(tmp_path, monkeypatch):
         "seed: 1008\n"
         "model:\n  family: gneiting\n"
         "  anisotropy: {a_max: 3.0, a_min: 1.0, angle_deg: 45.0}\n"
-        "surfaces: {kind: anisotropic, extent: 12.0, n_grid: 201}\n",
+        "surfaces: {h_max: 12.0, n_h: 201}\n",
         encoding="utf-8",
     )
     assert main(["surfaces", "-c", "cfg.yaml"]) == 0

@@ -94,6 +94,10 @@ class TestConfigParsing:
             parse_config({"seed": 1, "model": {"family": "separable", "a": 1.0}})
         with pytest.raises(ConfigError, match="config: unknown key"):
             parse_config({"seed": 1, "bogus": 1})
+        # the model decides the surface's grid, so these keys fail loudly
+        for key in ("kind", "extent", "n_grid"):
+            with pytest.raises(ConfigError, match=rf"surfaces: unknown key\(s\): {key}$"):
+                parse_config({"seed": 1, "surfaces": {key: 1}})
 
     def test_field_level_message(self):
         with pytest.raises(ConfigError, match="model.a"):
@@ -427,7 +431,7 @@ class TestSurfacesCommand:
             "family": "gneiting",
             "anisotropy": {"a_max": 3.0, "a_min": 1.0, "angle_deg": 45.0},
         }
-        cfg["surfaces"] = {"kind": "anisotropic", "extent": 12.0, "n_grid": 41}
+        cfg["surfaces"] = {"h_max": 12.0, "n_h": 41}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["surfaces", "-c", str(cfg_path)]) == 0
         rows = (tmp_path / "surfaces.csv").read_text().splitlines()
@@ -442,12 +446,17 @@ class TestSurfacesCommand:
         assert along[0, 3] > across[0, 3]
         assert along[0, 2] > across[0, 2]
 
-    def test_isotropic_kind_with_anisotropic_model_rejected(self, tmp_path, monkeypatch):
+    def test_anisotropic_model_decides_the_grid(self, tmp_path, monkeypatch):
+        # no surfaces keys: the model alone makes it an (h1, h2) surface
         monkeypatch.chdir(tmp_path)
-        cfg = dict(BASE_CONFIG)
+        cfg = {key: value for key, value in BASE_CONFIG.items() if key != "surfaces"}
         cfg["model"] = {"family": "gneiting", "anisotropy": {"a_max": 2.0, "a_min": 1.0, "angle_deg": 0.0}}
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["surfaces", "-c", str(cfg_path)]) == 2
+        assert main(["surfaces", "-c", str(cfg_path)]) == 0
+        rows = (tmp_path / "surfaces.csv").read_text().splitlines()
+        assert rows[0] == "h1,h2,rho,chi"
+        assert rows[1].startswith("-20.0,-20.0,")  # h_max's default
+        assert json.loads((tmp_path / "surfaces.json").read_text())["kind"] == "anisotropic"
 
 
 class TestValidateCommand:
@@ -508,6 +517,26 @@ class TestValidateCommand:
         # a floor this high stops every realization after a few dozen events
         assert main(["validate", "-c", str(cfg_path), "--set", "storm.intensity_floor=20.0"]) == 3
         assert "field values must be finite" in capsys.readouterr().err
+
+    LINE_MODEL = ["--set", "model.dimension=1", "--set", "grid.shape=[12]",
+                  "--set", "grid.origin=[0.0]"]
+
+    def test_storm_ignores_the_model_dimension(self, tmp_path, monkeypatch):
+        # storm never reads the model, so a 1-d model does not stop it
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["validate", "-c", str(cfg_path), "--set", "validate.report=plane.csv"]) == 0
+        assert main(["validate", "-c", str(cfg_path), "--set", "validate.report=line.csv",
+                     *self.LINE_MODEL]) == 0
+        assert (tmp_path / "line.csv").read_bytes() == (tmp_path / "plane.csv").read_bytes()
+
+    def test_husler_reiss_needs_a_2d_model(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["validate", "-c", str(cfg_path), "--set", "validate.construction=husler_reiss",
+                     *self.LINE_MODEL]) == 2
+        assert "requires a 2-d model" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -381,6 +381,16 @@ class TestValidationErrors:
                 base_temporal=PoweredExponential(1.0, 1.0),
             )
 
+    @pytest.mark.parametrize("atom", [
+        (float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0, float("nan")),
+        (1.0, 1.0),
+    ], ids=["nan-scale", "inf-scale", "nan-weight", "two-entries"])
+    @pytest.mark.parametrize("model", [MA_MIXTURE, BERNSTEIN], ids=["ma_mixture", "bernstein"])
+    def test_bad_atom_rejected(self, model, atom):
+        # NaN passes every comparison, so each entry is checked for finiteness
+        with pytest.raises(DomainError, match="atom"):
+            dataclasses.replace(model, atoms=(atom,))
+
     def test_bad_exponents(self):
         with pytest.raises(DomainError):
             SmoothnessExpansion(2.5, 1.0, 1.0, 1.0)

@@ -151,6 +151,15 @@ class TestSpaceTimeGrid:
         with pytest.raises(DomainError, match="shape"):
             SpaceTimeGrid.regular(shape=())
 
+    def test_time_points_must_be_non_empty_and_1d(self):
+        # an empty time axis would fail later, in numpy's reductions
+        with pytest.raises(DomainError, match="time_points"):
+            SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([]))
+        with pytest.raises(DomainError, match="time_points"):
+            SpaceTimeGrid.regular((3, 3), times=())
+        with pytest.raises(DomainError, match="time_points"):
+            SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([[0.0], [1.0]]))
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError):
             SpaceTimeGrid(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0]))
