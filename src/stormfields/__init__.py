@@ -22,7 +22,6 @@ from .covmodels import (
     CorrelationModel,
     GneitingModel,
     MaMixtureModel,
-    PoweredExponential,
     SeparableModel,
     SmoothnessExpansion,
     delta_values,
@@ -56,9 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     # covmodels
     "AnisotropicModel", "AnisotropyTransform", "BernsteinModel", "CorrelationModel",
-    "GneitingModel", "MaMixtureModel", "PoweredExponential", "SeparableModel",
-    "SmoothnessExpansion", "delta_values", "scaling_sequences", "scaling_sequences_from_log",
-    "variogram_to_covariance",
+    "GneitingModel", "MaMixtureModel", "SeparableModel", "SmoothnessExpansion",
+    "delta_values", "scaling_sequences", "scaling_sequences_from_log", "variogram_to_covariance",
     # errors
     "ConfigError", "DomainError", "FactorizationError", "NotPositiveDefiniteError",
     "StormFieldsError", "UnsupportedModelError",

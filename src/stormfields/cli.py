@@ -140,7 +140,8 @@ def _construction(cfg: RunConfig, name: str, grid: SpaceTimeGrid, n: int, kind: 
         return make_block, no_factor, partial(delta_from_storm, cfg.storm)
 
     if cfg.model.dimension != grid.dimension:
-        raise ConfigError(f"the husler_reiss construction requires a {grid.dimension}-d model")
+        raise ConfigError(f"the husler_reiss construction on a {grid.dimension}-d grid requires "
+                          f"a {grid.dimension}-d model, not a {cfg.model.dimension}-d one")
     factor = rescaled_factor(cfg.model, grid, n)
     make_block = partial(husler_reiss_block, factor, n, kind, cfg.seed)
     factor_fields = {"factor_rank": factor.rank, "factor_residual": factor.residual}
@@ -171,25 +172,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_surfaces(cfg: RunConfig) -> int:
     """Export `hnorm,u,rho,chi` grids of an isotropic model, or `h1,h2,rho,chi` at u = 0.
 
-    An anisotropic model's grid spans [-h_max, h_max] in h1 and h2, n_h points per axis.
+    A model is isotropic when its expansion has no geometric anisotropy and
+    at most one componentwise weight.  Any other model's grid spans
+    [-h_max, h_max] in h1 and h2, n_h points per axis, with a third axis at 0.
     """
     spec = cfg.surfaces
     model = cfg.model
     expansion = model.expansion()
 
-    if expansion.anisotropy is None:
+    weights = expansion.spatial_weights
+    if expansion.anisotropy is None and (weights is None or len(weights) == 1):
         kind, header = "isotropic", "hnorm,u,rho,chi"
         first, second = np.meshgrid(np.linspace(0.0, spec.h_max, spec.n_h),
                                     np.linspace(0.0, spec.u_max, spec.n_u), indexing="ij")
-        h_vec = np.zeros(first.shape + (model.dimension,))
-        h_vec[..., 0] = first
-        u = second
+        lags, u = (first,), second
     else:
         kind, header = "anisotropic", "h1,h2,rho,chi"
         axis = np.linspace(-spec.h_max, spec.h_max, spec.n_h)
         first, second = np.meshgrid(axis, axis, indexing="ij")
-        h_vec = np.stack([first, second], axis=-1)
-        u = 0.0
+        lags, u = (first, second), 0.0
+    h_vec = np.zeros(first.shape + (model.dimension,))
+    h_vec[..., :len(lags)] = np.stack(lags, axis=-1)
     rho = np.asarray(model.rho(h_vec, u), dtype=float)
     chi = tail_dependence(delta_values(expansion, h_vec, u))
 

@@ -33,7 +33,6 @@ from .covmodels import (
     CorrelationModel,
     GneitingModel,
     MaMixtureModel,
-    PoweredExponential,
     SeparableModel,
 )
 from .errors import ConfigError, StormFieldsError
@@ -207,10 +206,6 @@ def _atoms(value, path):
                  _entries(value, path, "a non-empty list of [v1, v2, weight] triples"))
 
 
-def _base(value, path):
-    return PoweredExponential(**_read(value, _BASE, path))
-
-
 def _anisotropy(value, path):
     a_max, a_min, angle_deg = _read(value, _ANISOTROPY, path).values()
     return AnisotropyTransform(a_max=a_max, a_min=a_min, angle=math.radians(angle_deg))
@@ -236,7 +231,6 @@ def _thresholds(value, path):
 
 # Key tables: each key maps to ``(default, reader)``.
 
-_BASE = {"scale": (_REQUIRED, _POSITIVE), "exponent": (_REQUIRED, _POSITIVE)}
 _ANISOTROPY = {"a_max": (3.0, _number), "a_min": (1.0, _number), "angle_deg": (45.0, _number)}
 _PAIR = {"h": ([0.0, 0.0], partial(_numbers, length=2)), "u": (0.0, _number)}
 
@@ -251,26 +245,25 @@ _FAMILIES = {
         "spatial_range": (1.0, _POSITIVE), "temporal_decay": (1.0, _POSITIVE),
         "dimension": (2, _count(1))}),
     "ma_mixture": (MaMixtureModel, {
-        "atoms": (_REQUIRED, _atoms), "spatial": (_REQUIRED, _base),
-        "temporal": (_REQUIRED, _base), "dimension": (2, _count(1))}),
+        "atoms": (_REQUIRED, _atoms),
+        "spatial_scale": (_REQUIRED, _POSITIVE), "spatial_exponent": (_REQUIRED, _POSITIVE),
+        "temporal_scale": (_REQUIRED, _POSITIVE), "temporal_exponent": (_REQUIRED, _POSITIVE),
+        "dimension": (2, _count(1))}),
     "bernstein": (BernsteinModel, {
         "spatial_scales": (_REQUIRED, _numbers), "spatial_exponents": (_REQUIRED, _numbers),
         "temporal_scale": (1.0, _number), "temporal_exponent": (1.0, _number),
         "atoms": (_REQUIRED, _atoms)}),
 }
-# ma_mixture's keys that name its base_spatial and base_temporal arguments
-_ARGUMENTS = {"spatial": "base_spatial", "temporal": "base_temporal"}
 
 _CONSTRUCTIONS = ("husler_reiss", "storm")
 
 _TOP_LEVEL = {"seed": (_REQUIRED, _count(0)), "workers": (1, _count(1))}
-# grid.origin is not here: its default, zeros of the model's dimension, is
-# added by _build_grid.
 _SECTIONS = {
     "model": {"family": ("gneiting", partial(_choice, choices=tuple(_FAMILIES)))},
     "grid": {
         "shape": ([30, 30], partial(_numbers, minimum=1, integer=True)),
         "spacing": (1.0, _per_axis),
+        "origin": (0.0, _per_axis),
         "times": ([0.0, 1.0, 2.0, 3.0], _numbers),
     },
     "simulate": {
@@ -347,20 +340,10 @@ def _build_model(section) -> CorrelationModel:
     family = _read({"family": section.pop("family")}, _SECTIONS["model"], "model")["family"]
     cls, keys = _FAMILIES[family]
     values = _read(section, keys, "model", f"is required for the {family} family")
-    model = cls(**{_ARGUMENTS.get(key, key): value for key, value in values.items()})
+    model = cls(**values)
     if anisotropy is not None:
         model = AnisotropicModel(base=model, transform=_anisotropy(anisotropy, "model.anisotropy"))
     return model
-
-
-def _build_grid(section, dimension) -> SpaceTimeGrid:
-    origin = [0.0] * dimension
-    grid = _read(section, {**_SECTIONS["grid"], "origin": (origin, _per_axis)}, "grid")
-    section.setdefault("origin", origin)  # so that the run's echo records it
-    for key in ("shape", "spacing", "origin"):
-        if isinstance(grid[key], tuple) and len(grid[key]) != dimension:
-            _fail(f"grid.{key}", f"must list {dimension} value(s), one per spatial axis")
-    return SpaceTimeGrid.regular(**grid)
 
 
 def _build_storm(storm, model) -> StormModelParams:
@@ -391,7 +374,7 @@ def parse_config(mapping, overrides=()) -> RunConfig:
             raw=merged,
             **top_level,
             model=model,
-            grid=_build_grid(merged["grid"], model.dimension),
+            grid=SpaceTimeGrid.regular(**read("grid")),
             storm=_build_storm(read("storm"), model),
             surfaces=SurfacesSpec(**read("surfaces")),
             validate=ValidateSpec(**read("validate")),

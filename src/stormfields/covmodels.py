@@ -33,7 +33,6 @@ __all__ = [
     "CorrelationModel",
     "GneitingModel",
     "SeparableModel",
-    "PoweredExponential",
     "MaMixtureModel",
     "BernsteinModel",
     "AnisotropyTransform",
@@ -205,25 +204,6 @@ class SeparableModel(CorrelationModel):
         )
 
 
-@dataclass(frozen=True)
-class PoweredExponential:
-    """Radial correlation exp(-scale * r^exponent) used as a mixture base."""
-
-    scale: float
-    exponent: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", _positive(self.scale, "scale"))
-        exponent = _finite(self.exponent, "exponent")
-        if not 0.0 < exponent <= 2.0:
-            raise DomainError("exponent must lie in (0, 2]")
-        object.__setattr__(self, "exponent", exponent)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-self.scale * r ** self.exponent)
-
-
 def _normalized_atoms(atoms):
     cleaned = []
     for atom in atoms:
@@ -246,19 +226,29 @@ def _normalized_atoms(atoms):
 
 @dataclass(frozen=True)
 class MaMixtureModel(CorrelationModel):
-    """Scale mixture of a separable product over a finite set of atoms.
+    """Scale mixture of a separable powered-exponential product over a finite set of atoms.
 
-    rho(h, u) = sum_k w_k * rho1(||h||*v1_k) * rho2(|u|*v2_k) is nonseparable
-    as soon as the mixing measure has more than one atom.
+    rho(h, u) = sum_k w_k * exp(-c_s * (v1_k*||h||)^e_s) * exp(-c_t * (v2_k*|u|)^e_t)
+    with scales c_s, c_t > 0 and exponents e_s, e_t in (0, 2]; it is
+    nonseparable as soon as the mixing measure has more than one atom.
     """
 
     atoms: tuple
-    base_spatial: PoweredExponential
-    base_temporal: PoweredExponential
+    spatial_scale: float
+    spatial_exponent: float
+    temporal_scale: float
+    temporal_exponent: float
     dimension: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", _normalized_atoms(self.atoms))
+        for name in ("spatial_scale", "temporal_scale"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for name in ("spatial_exponent", "temporal_exponent"):
+            value = _finite(getattr(self, name), name)
+            if not 0.0 < value <= 2.0:
+                raise DomainError(f"{name} must lie in (0, 2]")
+            object.__setattr__(self, name, value)
         if self.dimension not in (1, 2, 3):
             raise DomainError("dimension must be 1, 2 or 3")
 
@@ -268,19 +258,23 @@ class MaMixtureModel(CorrelationModel):
         hnorm = np.sqrt(np.sum(h * h, axis=-1))
         out = 0.0
         for v1, v2, w in self.atoms:
-            out = out + w * self.base_spatial(hnorm * v1) * self.base_temporal(u * v2)
+            # asarray: a single lag takes numpy's array power too, which can
+            # differ from the scalar power in the last bit
+            spatial = np.exp(-self.spatial_scale * np.asarray(hnorm * v1) ** self.spatial_exponent)
+            temporal = np.exp(-self.temporal_scale * np.asarray(u * v2) ** self.temporal_exponent)
+            out = out + w * spatial * temporal
         return out
 
     def expansion(self) -> SmoothnessExpansion:
-        a1 = self.base_spatial.exponent
-        a2 = self.base_temporal.exponent
+        a1 = self.spatial_exponent
+        a2 = self.temporal_exponent
         m1 = sum(w * v1 ** a1 for v1, _, w in self.atoms)
         m2 = sum(w * v2 ** a2 for _, v2, w in self.atoms)
         return SmoothnessExpansion(
             alpha_space=a1,
             alpha_time=a2,
-            c_space=self.base_spatial.scale * m1,
-            c_time=self.base_temporal.scale * m2,
+            c_space=self.spatial_scale * m1,
+            c_time=self.temporal_scale * m2,
         )
 
 

@@ -47,8 +47,12 @@ BASE_CONFIG = {
 BERNSTEIN = {"family": "bernstein", "spatial_scales": [0.5, 1.0],
              "spatial_exponents": [0.8, 0.8], "atoms": [[1.0, 1.0, 1.0]]}
 MA_MIXTURE = {"family": "ma_mixture", "atoms": [[1.0, 1.0, 1.0]],
-              "spatial": {"scale": 0.2, "exponent": 1.5},
-              "temporal": {"scale": 0.4, "exponent": 1.0}}
+              "spatial_scale": 0.2, "spatial_exponent": 1.5,
+              "temporal_scale": 0.4, "temporal_exponent": 1.0}
+# the Bernstein model of tests/test_gaussfield.py's CATALOGUE, componentwise anisotropic
+CATALOGUE_BERNSTEIN = {"family": "bernstein", "spatial_scales": [0.5, 1.25],
+                       "spatial_exponents": [0.8, 0.8], "temporal_scale": 0.6,
+                       "temporal_exponent": 0.5, "atoms": [[0.4, 1.0, 0.25], [1.2, 0.3, 0.75]]}
 
 
 def write_config(tmp_path, mapping, name="cfg.yaml"):
@@ -67,11 +71,11 @@ class TestConfigParsing:
         assert cfg.grid.n_time == 4
         assert cfg.marginal is MarginalKind.FRECHET
 
-        # the default origin follows the model's dimension
+        # the default origin, one number, serves every spatial axis
         cfg = parse_config({"seed": 1, "model": {"dimension": 1},
                             "grid": {"shape": [4], "times": [0.0, 1.0]}})
         assert cfg.grid.spatial_points.tolist() == [[0.0], [1.0], [2.0], [3.0]]
-        assert cfg.raw["grid"]["origin"] == [0.0]
+        assert cfg.raw["grid"]["origin"] == 0.0
 
     @pytest.mark.parametrize("section", ["model", "grid", "storm", "simulate", "validate", "surfaces"])
     def test_null_section_keeps_defaults(self, section):
@@ -98,12 +102,20 @@ class TestConfigParsing:
         for key in ("kind", "extent", "n_grid"):
             with pytest.raises(ConfigError, match=rf"surfaces: unknown key\(s\): {key}$"):
                 parse_config({"seed": 1, "surfaces": {key: 1}})
+        # ma_mixture's keys are flat, so the nested sections of old configs fail loudly
+        nested = {"family": "ma_mixture", "atoms": [[1.0, 1.0, 1.0]],
+                  "spatial": {"scale": 0.2, "exponent": 1.5},
+                  "temporal": {"scale": 0.4, "exponent": 1.0}}
+        with pytest.raises(ConfigError, match=r"model: unknown key\(s\): spatial, temporal$"):
+            parse_config({"seed": 1, "model": nested})
 
     def test_field_level_message(self):
         with pytest.raises(ConfigError, match="model.a"):
             parse_config({"seed": 1, "model": {"family": "gneiting", "a": -1.0}})
         with pytest.raises(ConfigError, match="simulate.n"):
             parse_config({"seed": 1, "simulate": {"n": 1}})
+        with pytest.raises(ConfigError, match=re.escape("spatial_exponent must lie in (0, 2]")):
+            parse_config({"seed": 1, "model": MA_MIXTURE}, ["model.spatial_exponent=2.5"])
 
     def test_overrides(self):
         cfg = parse_config({"seed": 1}, overrides=["simulate.n=250", "model.a=0.05", "workers=3"])
@@ -137,8 +149,8 @@ class TestConfigParsing:
             "model": {
                 "family": "ma_mixture",
                 "atoms": [[1.0, 1.0, 0.4], [0.5, 2.0, 0.6]],
-                "spatial": {"scale": 0.2, "exponent": 1.5},
-                "temporal": {"scale": 0.4, "exponent": 1.0},
+                "spatial_scale": 0.2, "spatial_exponent": 1.5,
+                "temporal_scale": 0.4, "temporal_exponent": 1.0,
             },
         })
         assert cfg.model.expansion().alpha_space == 1.5
@@ -207,8 +219,7 @@ class TestConfigParsing:
         ({"surfaces": {"n_h": "x"}}, "surfaces.n_h"),
         ({"simulate": {"output_dir": 3}}, "simulate.output_dir"),
         ({"storm": {"from_model": "yes"}}, "storm.from_model"),
-        ({"model": {**MA_MIXTURE, "spatial": {"scale": "x", "exponent": 1.0}}},
-         "model.spatial.scale"),
+        ({"model": {**MA_MIXTURE, "spatial_scale": "x"}}, "model.spatial_scale"),
         ({"model": {"anisotropy": {"angle_deg": "x"}}}, "model.anisotropy.angle_deg"),
         ({"workers": "x"}, "workers"),
     ])
@@ -219,7 +230,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("model, key", [
         ({k: v for k, v in MA_MIXTURE.items() if k != "atoms"}, "model.atoms"),
         ({k: v for k, v in BERNSTEIN.items() if k != "spatial_scales"}, "model.spatial_scales"),
-        ({**MA_MIXTURE, "spatial": {"exponent": 1.0}}, "model.spatial.scale"),
+        ({k: v for k, v in MA_MIXTURE.items() if k != "spatial_scale"}, "model.spatial_scale"),
     ])
     def test_missing_required_key_names_it(self, model, key):
         with pytest.raises(ConfigError, match=re.escape(f"{key}: is required")):
@@ -238,7 +249,6 @@ class TestConfigParsing:
         parse_config(schema)
         expected = {name: set(keys) for name, keys in config._SECTIONS.items()}
         expected["model"] |= {*config._FAMILIES["gneiting"][1], "anisotropy"}
-        expected["grid"].add("origin")
         assert set(schema) == {*config._TOP_LEVEL, *expected}
         assert {name: set(schema[name]) for name in expected} == expected
         assert set(schema["model"]["anisotropy"]) == set(config._ANISOTROPY)
@@ -458,6 +468,31 @@ class TestSurfacesCommand:
         assert rows[1].startswith("-20.0,-20.0,")  # h_max's default
         assert json.loads((tmp_path / "surfaces.json").read_text())["kind"] == "anisotropic"
 
+    def test_componentwise_model_gets_the_h1_h2_grid(self, tmp_path, monkeypatch):
+        # a Bernstein model decays differently along h1 and h2, so no |h| column can hold it
+        monkeypatch.chdir(tmp_path)
+        cfg = {**BASE_CONFIG, "model": CATALOGUE_BERNSTEIN, "surfaces": {"h_max": 2.0, "n_h": 5}}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["surfaces", "-c", str(cfg_path)]) == 0
+        header, *rows = (tmp_path / "surfaces.csv").read_text().splitlines()
+        assert header == "h1,h2,rho,chi"
+        assert json.loads((tmp_path / "surfaces.json").read_text())["kind"] == "anisotropic"
+        data = {tuple(map(float, row.split(",")[:2])): float(row.split(",")[2]) for row in rows}
+        assert len(data) == 5 * 5
+        model = parse_config(cfg).model
+        along_axes = model.rho(np.array([[2.0, 0.0], [0.0, 2.0]]), 0.0)
+        assert [data[2.0, 0.0], data[0.0, 2.0]] == along_axes.tolist()
+        assert data[2.0, 0.0] > data[0.0, 2.0]  # 0.511 against 0.229
+
+    def test_surfaces_ignores_the_grid(self, tmp_path, monkeypatch):
+        # surfaces samples no field, so a 1-d model needs no 1-d grid
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["surfaces", "-c", str(cfg_path), "--set", "model.dimension=1"]) == 0
+        header, first, *_ = (tmp_path / "surfaces.csv").read_text().splitlines()
+        assert header == "hnorm,u,rho,chi"
+        assert first == "0.0,0.0,1.0,1.0"
+
 
 class TestValidateCommand:
     def test_storm_validation_report(self, tmp_path, monkeypatch):
@@ -518,8 +553,7 @@ class TestValidateCommand:
         assert main(["validate", "-c", str(cfg_path), "--set", "storm.intensity_floor=20.0"]) == 3
         assert "field values must be finite" in capsys.readouterr().err
 
-    LINE_MODEL = ["--set", "model.dimension=1", "--set", "grid.shape=[12]",
-                  "--set", "grid.origin=[0.0]"]
+    LINE_MODEL = ["--set", "model.dimension=1", "--set", "grid.shape=[12]"]
 
     def test_storm_ignores_the_model_dimension(self, tmp_path, monkeypatch):
         # storm never reads the model, so a 1-d model does not stop it
@@ -529,6 +563,10 @@ class TestValidateCommand:
         assert main(["validate", "-c", str(cfg_path), "--set", "validate.report=line.csv",
                      *self.LINE_MODEL]) == 0
         assert (tmp_path / "line.csv").read_bytes() == (tmp_path / "plane.csv").read_bytes()
+        # nor does it need a 1-d grid to go with the model
+        assert main(["validate", "-c", str(cfg_path), "--set", "validate.report=model.csv",
+                     "--set", "model.dimension=1"]) == 0
+        assert (tmp_path / "model.csv").read_bytes() == (tmp_path / "plane.csv").read_bytes()
 
     def test_husler_reiss_needs_a_2d_model(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -537,6 +575,10 @@ class TestValidateCommand:
                      *self.LINE_MODEL]) == 2
         assert "requires a 2-d model" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
+        # simulate samples on the config's 2-d grid, and the message names both dimensions
+        assert main(["simulate", "-c", str(cfg_path), "--set", "model.dimension=1"]) == 2
+        assert "on a 2-d grid requires a 2-d model, not a 1-d one" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

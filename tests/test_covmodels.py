@@ -14,7 +14,6 @@ from stormfields import (
     BernsteinModel,
     GneitingModel,
     MaMixtureModel,
-    PoweredExponential,
     SeparableModel,
     SmoothnessExpansion,
     delta_values,
@@ -29,8 +28,8 @@ GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
 SEPARABLE = SeparableModel(spatial_range=1.0, temporal_decay=1.0)
 MA_MIXTURE = MaMixtureModel(
     atoms=((0.5, 2.0, 0.3), (1.5, 0.5, 0.7)),
-    base_spatial=PoweredExponential(scale=0.2, exponent=1.5),
-    base_temporal=PoweredExponential(scale=0.4, exponent=1.0),
+    spatial_scale=0.2, spatial_exponent=1.5,
+    temporal_scale=0.4, temporal_exponent=1.0,
 )
 BERNSTEIN = BernsteinModel(
     spatial_scales=(0.5, 1.25),
@@ -140,8 +139,8 @@ class TestExpansions:
     def test_degenerate_mixture_is_base(self):
         single = MaMixtureModel(
             atoms=((1.0, 1.0, 1.0),),
-            base_spatial=PoweredExponential(scale=0.2, exponent=1.5),
-            base_temporal=PoweredExponential(scale=0.4, exponent=1.0),
+            spatial_scale=0.2, spatial_exponent=1.5,
+            temporal_scale=0.4, temporal_exponent=1.0,
         ).expansion()
         assert single.alpha_space == 1.5
         assert single.c_space == pytest.approx(0.2, rel=1e-15)
@@ -377,8 +376,8 @@ class TestValidationErrors:
         with pytest.raises(DomainError):
             MaMixtureModel(
                 atoms=((1.0, 1.0, 0.5), (1.0, 1.0, 0.4)),
-                base_spatial=PoweredExponential(1.0, 1.0),
-                base_temporal=PoweredExponential(1.0, 1.0),
+                spatial_scale=1.0, spatial_exponent=1.0,
+                temporal_scale=1.0, temporal_exponent=1.0,
             )
 
     @pytest.mark.parametrize("atom", [
@@ -390,6 +389,18 @@ class TestValidationErrors:
         # NaN passes every comparison, so each entry is checked for finiteness
         with pytest.raises(DomainError, match="atom"):
             dataclasses.replace(model, atoms=(atom,))
+
+    @pytest.mark.parametrize("name, value", [
+        ("spatial_scale", 0.0), ("temporal_scale", 0.0),
+        ("spatial_exponent", 0.0), ("spatial_exponent", 2.5), ("spatial_exponent", float("nan")),
+        ("temporal_exponent", 0.0), ("temporal_exponent", 2.5),
+        ("temporal_exponent", float("nan")),
+    ])
+    def test_bad_mixture_base_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            dataclasses.replace(MA_MIXTURE, **{name: value})
+        # the exponent's upper end is allowed
+        assert dataclasses.replace(MA_MIXTURE, spatial_exponent=2.0).expansion().alpha_space == 2.0
 
     def test_bad_exponents(self):
         with pytest.raises(DomainError):

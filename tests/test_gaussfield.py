@@ -14,7 +14,6 @@ from stormfields import (
     CorrelationModel,
     GneitingModel,
     MaMixtureModel,
-    PoweredExponential,
     SeparableModel,
     SpaceTimeGrid,
     build_covariance_matrix,
@@ -32,8 +31,8 @@ CATALOGUE = {
     "separable": SeparableModel(spatial_range=4.0, temporal_decay=0.5),
     "ma_mixture": MaMixtureModel(
         atoms=((0.5, 2.0, 0.3), (1.5, 0.5, 0.7)),
-        base_spatial=PoweredExponential(scale=0.2, exponent=1.5),
-        base_temporal=PoweredExponential(scale=0.4, exponent=1.0),
+        spatial_scale=0.2, spatial_exponent=1.5,
+        temporal_scale=0.4, temporal_exponent=1.0,
     ),
     "bernstein": BernsteinModel(
         spatial_scales=(0.5, 1.25),
