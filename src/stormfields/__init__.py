@@ -22,7 +22,6 @@ from .covmodels import (
     CorrelationModel,
     GneitingModel,
     MaMixtureModel,
-    SeparableModel,
     SmoothnessExpansion,
     delta_values,
     scaling_sequences,
@@ -55,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     # covmodels
     "AnisotropicModel", "AnisotropyTransform", "BernsteinModel", "CorrelationModel",
-    "GneitingModel", "MaMixtureModel", "SeparableModel", "SmoothnessExpansion",
+    "GneitingModel", "MaMixtureModel", "SmoothnessExpansion",
     "delta_values", "scaling_sequences", "scaling_sequences_from_log", "variogram_to_covariance",
     # errors
     "ConfigError", "DomainError", "FactorizationError", "NotPositiveDefiniteError",

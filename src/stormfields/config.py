@@ -6,8 +6,9 @@ configuration the same way the file is merged into the defaults, so a
 section override such as ``storm={sigma_time_sq: 2.0}`` or ``grid=null``
 keeps the section's other keys.  Every value is read through a typed
 reader, so a value of the wrong type is a ``ConfigError`` naming its dotted
-key.  Everything random flows from the mandatory ``seed`` key: a missing
-seed is a configuration error, never an implicit clock-based default.
+key; a value that a constructor rejects is one naming its section.
+Everything random flows from the mandatory ``seed`` key: a missing seed is
+a configuration error, never an implicit clock-based default.
 
 The schema, with its defaults, is described in README's "Configuration
 schema".  Its source is the key tables below: each row holds one key's
@@ -33,7 +34,6 @@ from .covmodels import (
     CorrelationModel,
     GneitingModel,
     MaMixtureModel,
-    SeparableModel,
 )
 from .errors import ConfigError, StormFieldsError
 from .gaussfield import SpaceTimeGrid
@@ -241,9 +241,6 @@ _FAMILIES = {
         "a": (0.03, _POSITIVE), "b": (0.03, _POSITIVE), "nu": (1.5, _POSITIVE),
         "gamma": (1.0, _POSITIVE), "beta1": (1.0, _POSITIVE), "beta2": (1.0, _POSITIVE),
         "dimension": (2, _count(1))}),
-    "separable": (SeparableModel, {
-        "spatial_range": (1.0, _POSITIVE), "temporal_decay": (1.0, _POSITIVE),
-        "dimension": (2, _count(1))}),
     "ma_mixture": (MaMixtureModel, {
         "atoms": (_REQUIRED, _atoms),
         "spatial_scale": (_REQUIRED, _POSITIVE), "spatial_exponent": (_REQUIRED, _POSITIVE),
@@ -353,6 +350,19 @@ def _build_storm(storm, model) -> StormModelParams:
     return StormModelParams(sigma_space=storm.pop("sigma"), **storm)
 
 
+def _built(section, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose constructor errors become ``ConfigError``s naming ``section``.
+
+    A reader's ``ConfigError``, which names its dotted key, passes unchanged.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ConfigError:
+        raise
+    except StormFieldsError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def parse_config(mapping, overrides=()) -> RunConfig:
     """Validate a raw configuration mapping into a RunConfig."""
     if not isinstance(mapping, dict):
@@ -368,22 +378,17 @@ def parse_config(mapping, overrides=()) -> RunConfig:
     def read(name):
         return _read(merged[name], _SECTIONS[name], name)
 
-    try:
-        model = _build_model(merged["model"])
-        return RunConfig(
-            raw=merged,
-            **top_level,
-            model=model,
-            grid=SpaceTimeGrid.regular(**read("grid")),
-            storm=_build_storm(read("storm"), model),
-            surfaces=SurfacesSpec(**read("surfaces")),
-            validate=ValidateSpec(**read("validate")),
-            **read("simulate"),
-        )
-    except ConfigError:
-        raise
-    except StormFieldsError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = _built("model", _build_model, merged["model"])
+    return RunConfig(
+        raw=merged,
+        **top_level,
+        model=model,
+        grid=_built("grid", SpaceTimeGrid.regular, **read("grid")),
+        storm=_built("storm", _build_storm, read("storm"), model),
+        surfaces=_built("surfaces", SurfacesSpec, **read("surfaces")),
+        validate=_built("validate", ValidateSpec, **read("validate")),
+        **read("simulate"),
+    )
 
 
 def load_config(path, overrides=()) -> RunConfig:

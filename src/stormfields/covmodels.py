@@ -32,7 +32,6 @@ __all__ = [
     "SmoothnessExpansion",
     "CorrelationModel",
     "GneitingModel",
-    "SeparableModel",
     "MaMixtureModel",
     "BernsteinModel",
     "AnisotropyTransform",
@@ -171,39 +170,6 @@ class GneitingModel(CorrelationModel):
         )
 
 
-@dataclass(frozen=True)
-class SeparableModel(CorrelationModel):
-    """Gaussian-in-space, exponential-in-time product model.
-
-    rho(h, u) = exp(-||h||^2 / spatial_range - temporal_decay * |u|); the
-    temporal factor is the correlation of an Ornstein-Uhlenbeck process.
-    """
-
-    spatial_range: float
-    temporal_decay: float
-    dimension: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "spatial_range", _positive(self.spatial_range, "spatial_range"))
-        object.__setattr__(self, "temporal_decay", _positive(self.temporal_decay, "temporal_decay"))
-        if self.dimension not in (1, 2, 3):
-            raise DomainError("dimension must be 1, 2 or 3")
-
-    def rho(self, h, u):
-        h = np.asarray(h, dtype=float)
-        u = np.abs(np.asarray(u, dtype=float))
-        hsq = np.sum(h * h, axis=-1)
-        return np.exp(-hsq / self.spatial_range - self.temporal_decay * u)
-
-    def expansion(self) -> SmoothnessExpansion:
-        return SmoothnessExpansion(
-            alpha_space=2.0,
-            alpha_time=1.0,
-            c_space=1.0 / self.spatial_range,
-            c_time=self.temporal_decay,
-        )
-
-
 def _normalized_atoms(atoms):
     cleaned = []
     for atom in atoms:
@@ -231,6 +197,12 @@ class MaMixtureModel(CorrelationModel):
     rho(h, u) = sum_k w_k * exp(-c_s * (v1_k*||h||)^e_s) * exp(-c_t * (v2_k*|u|)^e_t)
     with scales c_s, c_t > 0 and exponents e_s, e_t in (0, 2]; it is
     nonseparable as soon as the mixing measure has more than one atom.
+
+    One atom gives the separable powered-exponential product.  The
+    Gaussian-in-space, Ornstein-Uhlenbeck-in-time model
+    exp(-||h||^2 / spatial_range - temporal_decay * |u|) is, in a config,
+    ``{family: ma_mixture, atoms: [[1.0, 1.0, 1.0]], spatial_scale: 1/spatial_range,
+    spatial_exponent: 2.0, temporal_scale: temporal_decay, temporal_exponent: 1.0}``.
     """
 
     atoms: tuple

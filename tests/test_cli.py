@@ -15,7 +15,6 @@ from stormfields import (
     AnisotropicModel,
     GneitingModel,
     MarginalKind,
-    SeparableModel,
     SpaceTimeGrid,
     StormModelParams,
     delta_from_storm,
@@ -95,7 +94,7 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=f"{section}: unknown key"):
                 parse_config({"seed": 1, section: {"bogus": 1}})
         with pytest.raises(ConfigError, match="model: unknown key"):
-            parse_config({"seed": 1, "model": {"family": "separable", "a": 1.0}})
+            parse_config({"seed": 1, "model": {**MA_MIXTURE, "a": 1.0}})
         with pytest.raises(ConfigError, match="config: unknown key"):
             parse_config({"seed": 1, "bogus": 1})
         # the model decides the surface's grid, so these keys fail loudly
@@ -138,10 +137,24 @@ class TestConfigParsing:
         assert cfg.model.transform.angle == pytest.approx(math.pi / 4)
 
     def test_separable_family(self):
-        cfg = parse_config(
-            {"seed": 1, "model": {"family": "separable", "spatial_range": 2.0, "temporal_decay": 0.3}}
-        )
-        assert isinstance(cfg.model, SeparableModel)
+        # the separable product is spelled as a one-atom ma_mixture, not as a family
+        model = {"family": "separable", "spatial_range": 2.0, "temporal_decay": 0.3}
+        with pytest.raises(ConfigError, match=re.escape(
+                "model.family: must be 'gneiting' or 'ma_mixture' or 'bernstein'")):
+            parse_config({"seed": 1, "model": model})
+
+    @pytest.mark.parametrize("override, message", [
+        ("model.gamma=1.5", "model: gamma must lie in (0, 1]"),
+        ("grid.spacing=[1.0, 1.0, 1.0]", "grid: spacing must be one number or one per axis (2)"),
+        ("grid.spacing=0", "grid: spatial points must be distinct"),
+        ("storm.sigma=[[1.0, 2.0], [2.0, 1.0]]", "storm: sigma_space is not positive definite"),
+        # a reader's message names its dotted key and is left as it is
+        ("model.a=-1", "model.a: must be > 0.0"),
+    ], ids=["model", "grid-length", "grid-distinct", "storm", "reader"])
+    def test_constructor_error_names_its_section(self, override, message):
+        with pytest.raises(ConfigError) as caught:
+            parse_config({"seed": 1}, [override])
+        assert str(caught.value) == message
 
     def test_ma_mixture_and_bernstein_families(self):
         cfg = parse_config({

@@ -14,7 +14,6 @@ from stormfields import (
     BernsteinModel,
     GneitingModel,
     MaMixtureModel,
-    SeparableModel,
     SmoothnessExpansion,
     delta_values,
     scaling_sequences,
@@ -24,8 +23,19 @@ from stormfields import (
 from stormfields.covmodels import apply_anisotropy
 from stormfields.errors import DomainError, UnsupportedModelError
 
+
+def separable(spatial_range, temporal_decay, dimension=2):
+    """exp(-||h||^2 / spatial_range - temporal_decay * |u|), a one-atom Ma mixture."""
+    return MaMixtureModel(
+        atoms=((1.0, 1.0, 1.0),),
+        spatial_scale=1.0 / spatial_range, spatial_exponent=2.0,
+        temporal_scale=temporal_decay, temporal_exponent=1.0,
+        dimension=dimension,
+    )
+
+
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
-SEPARABLE = SeparableModel(spatial_range=1.0, temporal_decay=1.0)
+SEPARABLE = separable(spatial_range=1.0, temporal_decay=1.0)
 MA_MIXTURE = MaMixtureModel(
     atoms=((0.5, 2.0, 0.3), (1.5, 0.5, 0.7)),
     spatial_scale=0.2, spatial_exponent=1.5,
@@ -80,13 +90,29 @@ class TestCorrelationValues:
         assert value == pytest.approx(0.68766933763819058019, rel=1e-14)
 
     def test_separable_e_fold(self):
-        model = SeparableModel(spatial_range=4.0, temporal_decay=0.7)
+        model = separable(spatial_range=4.0, temporal_decay=0.7)
         assert correlation(model, (2.0, 0.0), 0.0) == pytest.approx(
             math.exp(-1.0), rel=1e-15
         )
         assert correlation(model, (0.0, 0.0), 1.0) == pytest.approx(
             math.exp(-0.7), rel=1e-15
         )
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_one_atom_mixture_is_the_separable_product(self, dimension):
+        # the Gaussian-by-Ornstein-Uhlenbeck product is the one-atom Ma mixture
+        spatial_range, temporal_decay = 4.0, 0.5
+        model = separable(spatial_range, temporal_decay, dimension)
+        rng = np.random.default_rng(33 + dimension)
+        h, u = random_lags(rng, dimension, 20000)
+        values = model.rho(h, u)
+        product = np.exp(-np.sum(h * h, axis=-1) / spatial_range - temporal_decay * np.abs(u))
+        kept = values > 1e-300
+        assert kept.sum() > 1000
+        np.testing.assert_allclose(values[kept], product[kept], rtol=1e-13, atol=0.0)
+        e = model.expansion()
+        assert (e.alpha_space, e.alpha_time, e.c_space, e.c_time) == (
+            2.0, 1.0, 1.0 / spatial_range, temporal_decay)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -133,7 +159,7 @@ class TestExpansions:
         assert e.c_time == pytest.approx(0.075)      # (d/2) * a * gamma
 
     def test_separable_constants(self):
-        e = SeparableModel(spatial_range=1.0, temporal_decay=1.0).expansion()
+        e = separable(spatial_range=1.0, temporal_decay=1.0).expansion()
         assert (e.alpha_space, e.alpha_time, e.c_space, e.c_time) == (2.0, 1.0, 1.0, 1.0)
 
     def test_degenerate_mixture_is_base(self):

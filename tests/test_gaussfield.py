@@ -14,7 +14,6 @@ from stormfields import (
     CorrelationModel,
     GneitingModel,
     MaMixtureModel,
-    SeparableModel,
     SpaceTimeGrid,
     build_covariance_matrix,
     low_rank_factor,
@@ -28,7 +27,12 @@ GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
 
 CATALOGUE = {
     "gneiting": GNEITING,
-    "separable": SeparableModel(spatial_range=4.0, temporal_decay=0.5),
+    # exp(-||h||^2 / 4 - 0.5 |u|), the Gaussian-by-Ornstein-Uhlenbeck product
+    "separable": MaMixtureModel(
+        atoms=((1.0, 1.0, 1.0),),
+        spatial_scale=0.25, spatial_exponent=2.0,
+        temporal_scale=0.5, temporal_exponent=1.0,
+    ),
     "ma_mixture": MaMixtureModel(
         atoms=((0.5, 2.0, 0.3), (1.5, 0.5, 0.7)),
         spatial_scale=0.2, spatial_exponent=1.5,
@@ -256,8 +260,9 @@ class ConstantModel(CorrelationModel):
 
 class TestLowRankFactor:
     GRID = SHRUNKEN_GRID
-    # at shrunken lags the smooth models are numerically low-rank; the
-    # powered-exponential ones (ma_mixture, bernstein) keep full rank
+    # at shrunken lags the smooth models, separable's Gaussian in space
+    # among them, are numerically low-rank; ma_mixture and bernstein, whose
+    # spatial exponents are below 2, keep full rank
     LOW_RANK = ("gneiting", "separable", "aniso_gneiting", "1d-gneiting", "3d-gneiting")
 
     @pytest.mark.parametrize("case", DENSE_CASES)
