@@ -25,7 +25,6 @@ from .covmodels import (
     SmoothnessExpansion,
     delta_values,
     scaling_sequences,
-    scaling_sequences_from_log,
     variogram_to_covariance,
 )
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .extremal import bivariate_cdf_hr, exponent_measure, pickands, tail_dependence
-from .gaussfield import SpaceTimeGrid, build_covariance_matrix, low_rank_factor
+from .gaussfield import SpaceTimeGrid, low_rank_factor
 from .maxstable import (
     DEFAULT_INTENSITY_FLOOR,
     MarginalKind,
@@ -55,14 +54,14 @@ __all__ = [
     # covmodels
     "AnisotropicModel", "AnisotropyTransform", "BernsteinModel", "CorrelationModel",
     "GneitingModel", "MaMixtureModel", "SmoothnessExpansion",
-    "delta_values", "scaling_sequences", "scaling_sequences_from_log", "variogram_to_covariance",
+    "delta_values", "scaling_sequences", "variogram_to_covariance",
     # errors
     "ConfigError", "DomainError", "FactorizationError", "NotPositiveDefiniteError",
     "StormFieldsError", "UnsupportedModelError",
     # extremal
     "bivariate_cdf_hr", "exponent_measure", "pickands", "tail_dependence",
     # gaussfield
-    "SpaceTimeGrid", "build_covariance_matrix", "low_rank_factor",
+    "SpaceTimeGrid", "low_rank_factor",
     # maxstable
     "DEFAULT_INTENSITY_FLOOR", "MarginalKind", "StormModelParams", "delta_from_storm",
     "equivalent_storm_params", "husler_reiss_block", "rescaled_factor", "storm_block",

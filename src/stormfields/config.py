@@ -125,14 +125,16 @@ def _read(section, keys, path, required="is required"):
 def _number(value, path, *, minimum=None, exclusive=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "must be a number")
-    if integer:
-        if not math.isfinite(value) or float(value) != int(value):
-            _fail(path, "must be an integer")
-        value = int(value)
-    else:
-        value = float(value)
-        if not math.isfinite(value):
-            _fail(path, "must be finite")
+    # an int is taken exactly, so a seed above 2**53 keeps every digit
+    if integer and not (isinstance(value, int) or value.is_integer()):
+        _fail(path, "must be an integer")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
+        _fail(path, "must be finite")
+    value = int(value) if integer else float(value)
     if minimum is not None:
         if exclusive and not value > minimum:
             _fail(path, f"must be > {minimum}")

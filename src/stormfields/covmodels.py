@@ -39,7 +39,6 @@ __all__ = [
     "apply_anisotropy",
     "delta_values",
     "scaling_sequences",
-    "scaling_sequences_from_log",
     "variogram_to_covariance",
 ]
 
@@ -416,17 +415,6 @@ def delta_values(expansion: SmoothnessExpansion, h, u):
     return spatial + expansion.c_time * u ** expansion.alpha_time
 
 
-def scaling_sequences_from_log(expansion: SmoothnessExpansion, log_n: float):
-    """Scaling pair for a given value of log(n); test hook for exact logs."""
-    log_n = _finite(log_n, "log_n")
-    if log_n <= 0.0:
-        raise DomainError("log_n must be positive")
-    return (
-        log_n ** (-1.0 / expansion.alpha_space),
-        log_n ** (-1.0 / expansion.alpha_time),
-    )
-
-
 def scaling_sequences(expansion: SmoothnessExpansion, n) -> tuple:
     """Rescaling pair (s_n, t_n) = (log n)^(-1/a1), (log n)^(-1/a2).
 
@@ -436,7 +424,8 @@ def scaling_sequences(expansion: SmoothnessExpansion, n) -> tuple:
     n = _finite(n, "n")
     if n < 2:
         raise DomainError("n must be at least 2")
-    return scaling_sequences_from_log(expansion, math.log(n))
+    log_n = math.log(n)
+    return log_n ** (-1.0 / expansion.alpha_space), log_n ** (-1.0 / expansion.alpha_time)
 
 
 def variogram_to_covariance(expansion: SmoothnessExpansion, point1, point2) -> float:

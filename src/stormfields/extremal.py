@@ -59,7 +59,7 @@ def _exponent_measure_w(w1, w2, delta) -> np.ndarray:
     inner = (delta > 0.0) & (root <= _INDEPENDENT_SQRT_DELTA)
     if np.any(inner):
         a, b, r = w1[inner], w2[inner], root[inner]
-        shift = np.log(a / b) / (2.0 * r)
+        shift = (np.log(a) - np.log(b)) / (2.0 * r)  # a / b can overflow
         phi = std_normal_cdf(np.stack([shift + r, r - shift]))
         out[inner] = a * phi[0] + b * phi[1]
     return out

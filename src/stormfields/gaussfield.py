@@ -8,8 +8,6 @@ stops once every site's residual variance is at most ``RANK_TOLERANCE``.  It
 needs no diagonal shift, because pivoting handles the semidefinite and
 numerically singular matrices of the rescaled-maxima construction natively
 (rank 1,214 of N = 3,600 on a 30 x 30 x 4 grid at n = 100, a 35 MB factor).
-``build_covariance_matrix`` forms C itself, as the dense reference the factor
-is checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "SpaceTimeGrid",
     "CholeskyFactor",
     "RANK_TOLERANCE",
-    "build_covariance_matrix",
     "low_rank_factor",
     "sample_replications",
 ]
@@ -134,49 +131,6 @@ class CholeskyFactor:
         return self.lower.shape[1]
 
 
-def _scaled_coordinates(model: CorrelationModel, grid: SpaceTimeGrid, scale):
-    """The grid's spatial points and time points times the (s, t) ``scale``."""
-    if grid.dimension != model.dimension:
-        raise DomainError(
-            f"grid dimension {grid.dimension} does not match model dimension "
-            f"{model.dimension}"
-        )
-    s_scale, t_scale = (1.0, 1.0) if scale is None else (float(scale[0]), float(scale[1]))
-    return grid.spatial_points * s_scale, grid.time_points * t_scale
-
-
-def build_covariance_matrix(model: CorrelationModel, grid: SpaceTimeGrid,
-                            scale=None) -> np.ndarray:
-    """Correlation matrix of the model over the flattened grid.
-
-    Parameters
-    ----------
-    model : CorrelationModel
-    grid : SpaceTimeGrid
-    scale : (s, t) pair, optional
-        Rescaling factors applied to spatial and temporal lags, so that
-        the model is evaluated at shrunken lags (s_n h, t_n u).
-
-    Returns
-    -------
-    ndarray, shape (N, N)
-        Symmetric with unit diagonal; entries are correlations in (0, 1].
-    """
-    pts, times = _scaled_coordinates(model, grid, scale)
-    ns, nt = grid.n_space, grid.n_time
-
-    spatial_lags = pts[:, None, :] - pts[None, :, :]
-    # One rho call on every distinct |t_i - t_j|, exact, not rounded: scaled
-    # times can give 3t - 2t != t - 0 in the last bit.  rho is even in u, so
-    # block (i, j) and its mirror (j, i) share one lag.
-    lags, which = np.unique(np.abs(times[:, None] - times[None, :]), return_inverse=True)
-    blocks = np.asarray(model.rho(spatial_lags, lags[:, None, None]), dtype=float)
-    out = np.empty((grid.size, grid.size))
-    for (i, j), k in zip(np.ndindex(nt, nt), which.ravel()):
-        out[i * ns:(i + 1) * ns, j * ns:(j + 1) * ns] = blocks[k]
-    return out
-
-
 def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
                     scale=None) -> CholeskyFactor:
     """Pivoted, rank-revealing Cholesky factor of the model correlation C.
@@ -193,7 +147,8 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
     times their entries at it, over the square root of its variance, becomes
     the next column of L, and every candidate's variance drops by the square
     of that column at it.  So ``rho`` runs on b x N values per step.
-    ``scale`` is as in ``build_covariance_matrix``.
+    ``scale``, an optional (s, t) pair, multiplies the spatial and temporal
+    lags, so that the model is evaluated at shrunken lags (s_n h, t_n u).
 
     Row k of one (capacity, N) buffer holds column k of L; the buffer grows
     in place by ``ndarray.resize``, by an eighth at a time, and is cut to r
@@ -205,9 +160,15 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
         If ``rho`` is not finite, or a residual variance falls below
         ``-RANK_TOLERANCE`` (C is not positive semidefinite).
     """
-    pts, times = _scaled_coordinates(model, grid, scale)
+    if grid.dimension != model.dimension:
+        raise DomainError(
+            f"grid dimension {grid.dimension} does not match model dimension "
+            f"{model.dimension}"
+        )
+    s_scale, t_scale = (1.0, 1.0) if scale is None else (float(scale[0]), float(scale[1]))
+    pts, times = grid.spatial_points * s_scale, grid.time_points * t_scale
     size = grid.size
-    residual = np.ones(size)  # C has unit diagonal, as build_covariance_matrix's
+    residual = np.ones(size)  # C has unit diagonal: rho(0, 0) = 1
     rows = np.empty((0, size))
     rank = 0
     while residual.max() > RANK_TOLERANCE:

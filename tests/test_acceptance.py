@@ -20,7 +20,6 @@ from stormfields import (
     SpaceTimeGrid,
     StormModelParams,
     bivariate_cdf_hr,
-    build_covariance_matrix,
     delta_from_storm,
     delta_values,
     exponent_measure,
@@ -29,12 +28,12 @@ from stormfields import (
     pickands,
     rescaled_factor,
     scaling_sequences,
-    scaling_sequences_from_log,
     storm_block,
     variogram_to_covariance,
 )
 from stormfields.cli import main
 from stormfields.gaussfield import RANK_TOLERANCE
+from dense_oracle import per_block_reference
 from storm_oracles import oracle_cdf_smith, oracle_cdf_spatial, oracle_cdf_temporal
 
 Z99 = 2.5758293035489004
@@ -133,10 +132,10 @@ def test_criterion_03_expansion_limit_large_lags():
       1. the rate at n = 1e8, through ``scaling_sequences``: the two-sided
          bound above for every lag (it is sharp: the largest observed
          L * deviation / delta^2 is 0.976);
-      2. the limit within 1%, through ``scaling_sequences_from_log``: along
-         a ladder of L values the worst relative deviation falls strictly,
-         and it is at most 0.01 once L >= 100 * max(delta), which the bound
-         guarantees;
+      2. the limit within 1%, at the pair L^(-1/a1), L^(-1/a2) computed
+         from L itself: along a ladder of L values the worst relative
+         deviation falls strictly, and it is at most 0.01 once
+         L >= 100 * max(delta), which the bound guarantees;
       3. that the target ``delta_values`` is the paper's C1 = 0.045,
          C2 = 0.03 expansion;
       4. that ``GneitingModel.rho`` agrees with a 50-digit evaluation of the
@@ -166,7 +165,8 @@ def test_criterion_03_expansion_limit_large_lags():
     threshold = 100.0 * float(np.max(target))
     ladder = np.sort([log_n, 1e2, 1e3, 1e4, threshold])
     worst = np.array([
-        np.max(np.abs(scaled(L, *scaling_sequences_from_log(expansion, L)) / target - 1.0))
+        np.max(np.abs(scaled(L, L ** (-1.0 / expansion.alpha_space),
+                             L ** (-1.0 / expansion.alpha_time)) / target - 1.0))
         for L in ladder
     ])
     limit_ok = bool(np.all(np.diff(worst) < 0.0) and np.all(worst[ladder >= threshold] <= 0.01))
@@ -335,7 +335,7 @@ def test_criterion_09_property_suites():
     # positive definiteness with tiny jitter on a 500-point grid, and the
     # pivoted factor reproducing the same matrix
     grid = SpaceTimeGrid.regular(shape=(10, 10), times=(0.0, 1.0, 2.0, 3.0, 4.0))
-    matrix = build_covariance_matrix(GNEITING, grid)
+    matrix = per_block_reference(GNEITING, grid)
     try:
         np.linalg.cholesky(matrix + 1e-12 * np.eye(grid.size))
         definite = True

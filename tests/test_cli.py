@@ -249,6 +249,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"{key}: is required")):
             parse_config({"seed": 1, "model": model})
 
+    def test_integers_beyond_float_precision_and_range(self):
+        # a seed above 2**53 is read exactly, not through a float
+        for seed in (2**53 + 1, 2**64 + 1):
+            cfg = parse_config({"seed": 1}, [f"seed={seed}"])
+            assert cfg.seed == seed and type(cfg.seed) is int
+        # an integer literal beyond float range is a config error, not an OverflowError
+        huge = "1" + "0" * 400
+        for key, path in (("seed", "config.seed"), ("simulate.n", "simulate.n"),
+                          ("storm.sigma_time_sq", "storm.sigma_time_sq")):
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: must be finite")):
+                parse_config({"seed": 1}, [f"{key}={huge}"])
+
     def test_storm_from_model_still_reads_sigma(self):
         # every storm key is read, also the ones from_model: true replaces
         with pytest.raises(ConfigError, match=re.escape("storm.sigma: must be")):
@@ -392,6 +404,13 @@ class TestSimulateCommand:
         cfg_path = write_config(tmp_path, {"model": {"family": "gneiting"}})
         assert main(["simulate", "-c", str(cfg_path)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_seed_beyond_float_precision_is_echoed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "-c", str(cfg_path), "--seed", "9007199254740993"]) == 0
+        meta = json.loads((tmp_path / "out" / "field_0000.json").read_text())
+        assert meta["master_seed"] == meta["config"]["seed"] == 9007199254740993
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

@@ -17,7 +17,6 @@ from stormfields import (
     SmoothnessExpansion,
     delta_values,
     scaling_sequences,
-    scaling_sequences_from_log,
     variogram_to_covariance,
 )
 from stormfields.covmodels import apply_anisotropy
@@ -131,7 +130,7 @@ class TestCorrelationValues:
 
     @pytest.mark.parametrize("model", CATALOGUE, ids=CATALOGUE_IDS)
     def test_even_in_u_bitwise(self, model):
-        # build_covariance_matrix evaluates each pair of mirrored blocks at |u| alone
+        # low_rank_factor evaluates every row of C at |u| alone
         rng = np.random.default_rng(32)
         h, u = random_lags(rng, model.dimension, 1000)
         assert model.rho(h, u).tobytes() == model.rho(h, -u).tobytes()
@@ -285,10 +284,10 @@ class TestDelta:
 
 class TestScalingSequences:
     def test_unit_log(self):
-        assert scaling_sequences_from_log(TestDelta.EXPANSION, 1.0) == (1.0, 1.0)
+        assert scaling_sequences(TestDelta.EXPANSION, math.e) == (1.0, 1.0)
 
     def test_log_four(self):
-        s_n, t_n = scaling_sequences_from_log(TestDelta.EXPANSION, 4.0)
+        s_n, t_n = scaling_sequences(TestDelta.EXPANSION, math.exp(4.0))
         assert s_n == pytest.approx(0.5, rel=1e-15)
         assert t_n == pytest.approx(0.5, rel=1e-15)
 

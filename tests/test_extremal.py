@@ -100,6 +100,12 @@ class TestExponentMeasure:
     def test_independence_limit(self):
         assert exponent_measure(2.0, 4.0, math.inf) == pytest.approx(0.75, rel=1e-15)
 
+    def test_extreme_finite_thresholds(self):
+        # the weight ratio 1e320 overflows a float; its logarithm does not
+        for y1, y2 in ((1e-160, 1e160), (1e160, 1e-160)):
+            assert exponent_measure(y1, y2, 1.0) == pytest.approx(1e160, rel=1e-15)
+            assert bivariate_cdf_hr(y1, y2, 1.0) == 0.0
+
 
 class TestPickands:
     def test_midpoint_identity(self):

@@ -1,5 +1,5 @@
-"""Covariance assembly, the pivoted low-rank factor checked against the dense
-matrix, and Gaussian sampling."""
+"""The pivoted low-rank factor, checked against the dense matrix of
+``dense_oracle``, and Gaussian sampling."""
 
 import math
 
@@ -15,13 +15,13 @@ from stormfields import (
     GneitingModel,
     MaMixtureModel,
     SpaceTimeGrid,
-    build_covariance_matrix,
     low_rank_factor,
     scaling_sequences,
 )
 from stormfields.errors import DomainError, FactorizationError
 from stormfields.gaussfield import _PIVOT_BLOCK, RANK_TOLERANCE, sample_replications
 from stormfields.streams import substream
+from dense_oracle import per_block_reference
 
 GNEITING = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
 
@@ -81,47 +81,23 @@ DENSE_CASES = {
 }
 
 
-def per_block_reference(model, grid, scale=(1.0, 1.0)):
-    """The covariance as built before time-lag blocks were reused: one rho
-    call per block of the lower block triangle, mirrored by transposition."""
-    pts = grid.spatial_points * float(scale[0])
-    times = grid.time_points * float(scale[1])
-    ns = grid.n_space
-    spatial_lags = pts[:, None, :] - pts[None, :, :]
-    out = np.empty((grid.size, grid.size))
-    for i in range(grid.n_time):
-        for j in range(i + 1):
-            block = np.asarray(model.rho(spatial_lags, times[i] - times[j]), dtype=float)
-            out[i * ns:(i + 1) * ns, j * ns:(j + 1) * ns] = block
-            if i != j:
-                out[j * ns:(j + 1) * ns, i * ns:(i + 1) * ns] = block.T
-    return out
-
-
 class CountingModel(CorrelationModel):
-    """Delegates to a model, records the time lags ``u`` of every rho call and
-    counts the values it returns."""
+    """Delegates to a model and counts its rho calls and the values they return."""
 
     def __init__(self, base):
         self.base = base
         self.dimension = base.dimension
-        self.time_lags = []
+        self.calls = 0
         self.evaluations = 0
 
     def rho(self, h, u):
-        self.time_lags.append(np.array(u, dtype=float))
+        self.calls += 1
         values = self.base.rho(h, u)
         self.evaluations += np.size(values)
         return values
 
     def expansion(self):
         return self.base.expansion()
-
-
-def float_time_lags(times, t_scale):
-    """The distinct |t_i - t_j| of the scaled times, compared exactly."""
-    scaled = np.asarray(times, dtype=float) * t_scale
-    return {float(abs(a - b)) for a in scaled for b in scaled}
 
 
 class TestSpaceTimeGrid:
@@ -171,80 +147,43 @@ class TestSpaceTimeGrid:
 
 
 class TestBuildCovariance:
+    """Entries of C as the library builds it: L L' of the pivoted factor."""
+
+    @staticmethod
+    def covariance(grid, scale=None):
+        factor = low_rank_factor(GNEITING, grid, scale)
+        return factor.lower @ factor.lower.T
+
     def test_single_point(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0]))
-        assert_array_equal(build_covariance_matrix(GNEITING, grid), [[1.0]])
+        assert_array_equal(self.covariance(grid), [[1.0]])
 
     def test_zero_lag_pair_gives_ones(self):
         # scaling by (0, 0) collapses every lag to the origin
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [3.0, 1.0]]), np.array([0.0]))
-        matrix = build_covariance_matrix(GNEITING, grid, scale=(0.0, 0.0))
-        assert_array_equal(matrix, np.ones((2, 2)))
+        assert_array_equal(self.covariance(grid, scale=(0.0, 0.0)), np.ones((2, 2)))
 
     def test_pure_time_lag_matches_correlation(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([0.0, 10.0]))
-        matrix = build_covariance_matrix(GNEITING, grid)
+        matrix = self.covariance(grid)
         assert matrix[0, 1] == pytest.approx(0.25, rel=1e-15)
         assert matrix[1, 0] == matrix[0, 1]
-        assert_array_equal(np.diag(matrix), [1.0, 1.0])
+        # the second column of L is the square root of a rounded variance
+        assert_allclose(np.diag(matrix), [1.0, 1.0], rtol=0.0, atol=np.finfo(float).eps)
 
     def test_rescaled_lags(self):
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0.0, 4.0]))
-        matrix = build_covariance_matrix(GNEITING, grid, scale=(0.5, 0.25))
+        matrix = self.covariance(grid, scale=(0.5, 0.25))
         direct = GNEITING.rho(np.array([1.0, 0.0]), 1.0)  # lags scaled to (1, 0) and u = 1
         assert matrix[0, 3] == pytest.approx(float(direct), rel=1e-15)
 
     def test_symmetric_unit_diagonal_in_bounds(self):
         grid = SpaceTimeGrid.regular(shape=(4, 4), times=(0.0, 1.0, 2.0))
-        matrix = build_covariance_matrix(GNEITING, grid)
+        matrix = self.covariance(grid)
         assert_array_equal(matrix, matrix.T)
-        assert_array_equal(np.diag(matrix), np.ones(grid.size))
+        assert_allclose(np.diag(matrix), np.ones(grid.size), rtol=0.0, atol=RANK_TOLERANCE)
         assert np.all(matrix > 0.0)
-        assert np.all(matrix <= 1.0)
-
-    def test_dimension_mismatch(self):
-        grid = SpaceTimeGrid(np.array([[0.0, 0.0, 0.0]]), np.array([0.0]))
-        with pytest.raises(DomainError):
-            build_covariance_matrix(GNEITING, grid)
-
-    # Irregular times: at hr_grid's t_n some scaled differences collide in
-    # floating point (so their block is reused) and some that are equal in
-    # exact arithmetic do not (so each keeps its own rho call).
-    IRREGULAR_TIMES = (0.0, 1.0, 2.0, 3.0, 4.5, 7.0)
-
-    def test_irregular_times_collide_and_do_not_collide(self):
-        pairs = len(self.IRREGULAR_TIMES) * (len(self.IRREGULAR_TIMES) + 1) // 2
-        exact = float_time_lags(self.IRREGULAR_TIMES, 1.0)  # integers and halves: exact
-        scaled = float_time_lags(self.IRREGULAR_TIMES, HR_GRID_SCALE[1])
-        assert len(exact) < len(scaled) < pairs
-
-    @pytest.mark.parametrize("scale", [(1.0, 1.0), HR_GRID_SCALE, (0.7, 0.1)],
-                             ids=["unscaled", "hr_grid", "other"])
-    @pytest.mark.parametrize("model", CATALOGUE.values(), ids=CATALOGUE.keys())
-    def test_bitwise_equal_to_per_block_loop(self, model, scale):
-        grid = SpaceTimeGrid.regular(shape=(4, 3), spacing=(1.0, 0.7),
-                                     times=self.IRREGULAR_TIMES)
-        matrix = build_covariance_matrix(model, grid, scale=scale)
-        assert matrix.tobytes() == per_block_reference(model, grid, scale).tobytes()
-
-    @pytest.mark.parametrize("times, scale, lags", [
-        ((0.0, 1.0, 2.0, 3.0), None, 4),
-        ((0.0, 1.0, 2.0, 3.0), HR_GRID_SCALE, 6),
-        (IRREGULAR_TIMES, HR_GRID_SCALE, None),
-        ((2.0, 0.0, 3.0, 1.0), HR_GRID_SCALE, None),
-    ], ids=["unscaled", "hr_grid", "irregular", "unsorted"])
-    def test_one_rho_call_per_distinct_time_lag(self, times, scale, lags):
-        # one rho call, whose u holds each distinct |t_i - t_j| exactly once
-        model = CountingModel(GNEITING)
-        grid = SpaceTimeGrid.regular(shape=(3, 3), times=times)
-        matrix = build_covariance_matrix(model, grid, scale=scale)
-        t_scale = 1.0 if scale is None else scale[1]
-        [u] = model.time_lags
-        assert sorted(u.ravel().tolist()) == sorted(float_time_lags(times, t_scale))
-        if lags is not None:
-            assert u.size == lags
-        reference = per_block_reference(GNEITING, grid, (1.0, 1.0) if scale is None else scale)
-        assert matrix.tobytes() == reference.tobytes()
+        assert np.all(matrix <= 1.0 + RANK_TOLERANCE)
 
 
 class ConstantModel(CorrelationModel):
@@ -271,7 +210,7 @@ class TestLowRankFactor:
         model = CountingModel(base)
         factor = low_rank_factor(model, grid, scale)
         size = grid.size
-        matrix = build_covariance_matrix(base, grid, scale=scale)
+        matrix = per_block_reference(base, grid, scale)
         assert_array_equal(matrix, matrix.T)
         assert_array_equal(np.diag(matrix), np.ones(size))
         assert factor.lower.shape == (size, factor.rank)
@@ -285,7 +224,7 @@ class TestLowRankFactor:
             assert factor.rank < size
         # rho runs once per step, on the b candidates' rows, in at most
         # ceil(N / b) steps
-        steps = len(model.time_lags)
+        steps = model.calls
         assert model.evaluations == size * min(_PIVOT_BLOCK, size) * steps
         assert steps <= math.ceil(size / _PIVOT_BLOCK)
 
@@ -295,14 +234,14 @@ class TestLowRankFactor:
         scale = scaling_sequences(GNEITING.expansion(), 1000)
         factor = low_rank_factor(GNEITING, grid, scale)
         assert factor.rank == grid.size == 6
-        matrix = build_covariance_matrix(GNEITING, grid, scale=scale)
+        matrix = per_block_reference(GNEITING, grid, scale)
         assert np.abs(factor.lower @ factor.lower.T - matrix).max() <= 1e-14
 
     def test_first_pivot_is_the_lowest_flat_index(self):
         # every residual variance starts at 1, so site 0 is the first pivot
         # and column 0 of the factor is column 0 of C
         factor = low_rank_factor(GNEITING, self.GRID, HR_GRID_SCALE)
-        matrix = build_covariance_matrix(GNEITING, self.GRID, scale=HR_GRID_SCALE)
+        matrix = per_block_reference(GNEITING, self.GRID, HR_GRID_SCALE)
         assert_allclose(factor.lower[:, 0], matrix[:, 0], rtol=1e-15, atol=0.0)
         again = low_rank_factor(GNEITING, self.GRID, HR_GRID_SCALE)
         assert again.lower.tobytes() == factor.lower.tobytes()
@@ -378,7 +317,7 @@ class TestSampling:
     def test_covariance_reproduced_on_small_grid(self):
         # empirical covariance of many replications approaches the target
         grid = SpaceTimeGrid(np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 2.0]]), np.array([0.0, 1.0]))
-        matrix = build_covariance_matrix(GNEITING, grid)
+        matrix = per_block_reference(GNEITING, grid)
         draws = sample_replications(low_rank_factor(GNEITING, grid), substream(99, 0, 0), 60_000)
         empirical = np.cov(draws.T)
         assert np.max(np.abs(empirical - matrix)) <= 0.03
