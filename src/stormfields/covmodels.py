@@ -44,7 +44,10 @@ __all__ = [
 
 
 def _finite(value, name):
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a Python int beyond float range
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite")
     return value

@@ -21,12 +21,12 @@ inverts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
 import numpy as np
 
-from .covmodels import CorrelationModel, SmoothnessExpansion, scaling_sequences
+from .covmodels import CorrelationModel, SmoothnessExpansion, _finite, _positive, scaling_sequences
 from .errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
 from .gaussfield import (
     CholeskyFactor,
@@ -136,15 +136,23 @@ class StormModelParams:
     the event series: events with intensity below it are discarded, which
     can lower grid values by at most ``intensity_floor`` times the peak
     kernel density.
+
+    ``whitening`` is W = L^-1 for the Cholesky factor L L' = ``sigma_space``,
+    lower triangular and read-only: ``h' sigma_space^-1 h = |W h|^2``, so the
+    whitened coordinates ``W h`` are all the storm kernel needs of Sigma.
     """
 
     sigma_space: np.ndarray
     sigma_time_sq: float
     buffer: float = 4.0
     intensity_floor: float = DEFAULT_INTENSITY_FLOOR
+    whitening: np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma_space, dtype=float)
+        try:
+            sigma = np.asarray(self.sigma_space, dtype=float)
+        except OverflowError as exc:  # a Python int beyond float range
+            raise DomainError("sigma_space must be finite") from exc
         if sigma.shape != (2, 2):
             raise DomainError("sigma_space must be a 2x2 matrix")
         if not np.all(np.isfinite(sigma)) or abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * max(
@@ -152,34 +160,31 @@ class StormModelParams:
         ):
             raise NotPositiveDefiniteError("sigma_space must be finite and symmetric")
         try:
-            np.linalg.cholesky(sigma)
+            (l00, _), (l10, l11) = np.linalg.cholesky(sigma).tolist()
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("sigma_space is not positive definite") from exc
-        sigma = sigma.copy()
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma_space", sigma)
-        s3sq = float(self.sigma_time_sq)
-        if not (math.isfinite(s3sq) and s3sq > 0.0):
-            raise DomainError("sigma_time_sq must be > 0")
-        object.__setattr__(self, "sigma_time_sq", s3sq)
-        buffer = float(self.buffer)
-        if not (math.isfinite(buffer) and buffer >= 0.0):
+        w00, w11 = 1.0 / l00, 1.0 / l11
+        whitening = np.array([[w00, 0.0], [-l10 * w00 * w11, w11]])
+        for name, value in (("sigma_space", sigma.copy()), ("whitening", whitening)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "sigma_time_sq", _positive(self.sigma_time_sq, "sigma_time_sq"))
+        buffer = _finite(self.buffer, "buffer")
+        if buffer < 0.0:
             raise DomainError("buffer must be >= 0")
         object.__setattr__(self, "buffer", buffer)
-        floor = float(self.intensity_floor)
-        if not (math.isfinite(floor) and floor > 0.0):
-            raise DomainError("intensity_floor must be > 0")
-        object.__setattr__(self, "intensity_floor", floor)
-
-    @property
-    def spatial_precision(self) -> np.ndarray:
-        return np.linalg.inv(self.sigma_space)
+        object.__setattr__(self, "intensity_floor",
+                           _positive(self.intensity_floor, "intensity_floor"))
 
     @property
     def peak_density(self) -> float:
-        """Kernel value at an event's own center, the maximum of the bump."""
-        det = float(np.linalg.det(self.sigma_space)) * self.sigma_time_sq
-        return float((2.0 * math.pi) ** -1.5 / math.sqrt(det))
+        """Kernel value at an event's own center, the maximum of the bump.
+
+        ``1 / sqrt(det sigma_space) = W00 W11``, which stays finite where the
+        determinant itself would underflow.
+        """
+        w = self.whitening
+        return float((2.0 * math.pi) ** -1.5 * w[0, 0] * w[1, 1] / math.sqrt(self.sigma_time_sq))
 
 
 # Absolute slack on the reach threshold 2 log(I * peak / m) of
@@ -199,33 +204,37 @@ _REACH_MARGIN = 1e-9
 # the same bytes.
 _REACH_MIN_PAIRS = 4096
 
-# Relative padding of the x-slab half-width of ``_event_maxima``: far above
-# the rounding of Sigma_xx, of the half-width and of the quadratic form,
-# a few ulps times kappa = (1 + |r|) / (1 - |r|) for the precision's
-# correlation r, while kappa < 1e9, that is r^2 < _SLAB_MAX_R2.
+# Relative padding of the slab half-width of ``_event_maxima``: far above
+# the few ulps by which the computed half-width, and the first whitened
+# offset of a pair in reach, can exceed sqrt(reach), for any SPD Sigma.
 _SLAB_PAD = 1e-6
-_SLAB_MAX_R2 = 1.0 - 4e-9
 
 # Events drawn and folded per batch of one realization.  No field depends on
 # it: see the batch loop of ``storm_block``.
 _STORM_BATCH = 64
 
 
-def _spatial_quad(precision, dx, dy):
-    """``P00 dx dx + 2 P01 dx dy + P11 dy dy``, left-associated."""
-    return precision[0, 0] * dx * dx + 2.0 * precision[0, 1] * dx * dy + precision[1, 1] * dy * dy
+def _whiten(w, x, y):
+    """Whitened coordinates ``(a, b) = W (x, y)`` of the whitening ``w``.
+
+    Elementwise, so that no value depends on the shape of the batch it is
+    computed in, as a matrix product's can.
+    """
+    return x * w[0, 0], x * w[1, 0] + y * w[1, 1]
 
 
-def _event_maxima(field, current_min, intensities, centers, peak_times, points, time_points,
-                  precision, inv_s3sq, peak):
+def _event_maxima(field, current_min, intensities, ca, cb, peak_times, pa, pb, time_points,
+                  inv_s3sq, peak):
     """Fold a batch of events into the running pointwise maximum.
 
-    The grid is the product of ``points`` (n_space, 2) and ``time_points``
-    (n_time,), flattened time-major, so the quadratic form of event k at
-    flat index ``t * n_space + s`` splits into a spatial part ``sq[k, s]``
-    and a temporal part ``tq[k, t]``, and ``sq + tq`` is the left-associated
-    ``P00 dx dx + 2 P01 dx dy + P11 dy dy + dt dt / s3^2`` bit for bit.
-    Event k contributes ``I_k * (peak * exp(-quad / 2))`` there.
+    Positions are whitened, ``(a, b) = W (x, y)``: event k is centered at
+    ``(ca[k], cb[k])`` and the grid is the product of the sites ``(pa, pb)``
+    (n_space,) and ``time_points`` (n_time,), flattened time-major.  So the
+    quadratic form of event k at flat index ``t * n_space + s`` splits into
+    a spatial part ``sq[k, s] = da da + db db``, on the offsets ``da = ca[k]
+    - pa[s]`` and ``db = cb[k] - pb[s]``, and a temporal part ``tq[k, t] =
+    inv_s3sq dt dt``.  Event k contributes ``I_k * (peak * exp(-quad / 2))``
+    there, with ``quad = sq + tq``.
 
     Once the field minimum m is positive, event k can raise a value only
     inside its reach, ``quad < thr_k = 2 log(I_k peak / m) + margin``.  The
@@ -239,71 +248,61 @@ def _event_maxima(field, current_min, intensities, centers, peak_times, points, 
     triple runs the dense formula on the same operands; and ``max`` is exact
     and independent of order.
 
-    The fold computes ``sq`` only on the sites of each event's x-slab,
-    ``|x - cx_k| <= half_k = sqrt(reach_k * Sigma_xx) (1 + _SLAB_PAD)``,
-    found by ``searchsorted`` on the x-coordinates sorted once per call, and
-    skips the events with ``reach_k <= 0``.  Every pair it skips fails
-    ``sq < reach_k``, so it keeps the pairs the test keeps on all pairs:
+    The fold computes ``sq`` only on the sites of each event's slab,
+    ``|pa - ca_k| <= half_k = sqrt(reach_k) (1 + _SLAB_PAD)``, found by
+    ``searchsorted`` on the a-coordinates sorted once per call, and skips
+    the events with ``reach_k <= 0``.  Every pair it skips fails ``sq <
+    reach_k``, so it keeps the pairs the test keeps on all pairs, for any
+    SPD Sigma:
 
-    * With ``Sigma_xx = P11 / (P00 P11 - P01^2)``, the (0, 0) entry of the
-      inverse of ``precision``, the exact form at any offset is
-      ``q(dx, dy) = P11 (dy + P01 dx / P11)^2 + dx^2 / Sigma_xx``, so
-      ``q >= dx^2 / Sigma_xx``.
-    * The computed ``sq`` is q within ``4 u kappa q``, where u is the unit
-      roundoff and ``kappa = (1 + |r|) / (1 - |r|)`` for the precision's
-      correlation r, because its terms sum in absolute value to at most
-      ``kappa q``.  So a computed ``sq`` is never negative, and every pair
-      of an event with ``reach_k <= 0`` fails.
-    * A pair that passes has ``dx^2 <= Sigma_xx q < Sigma_xx reach_k (1 +
-      4 u kappa)``, and ``|cx_k - x| <= |dx| / (1 - u)`` for the computed
-      ``dx``.  The computed ``half_k`` is within a few ulps times kappa of
-      its exact value, the rounding of ``Sigma_xx`` included, and
-      ``_SLAB_PAD`` exceeds all of these terms together, because the fold
-      requires ``kappa < 1e9``.  So ``cx_k - half_k <= x <= cx_k +
-      half_k`` holds exactly for the computed ``half_k``.
-    * The slab ends are rounded too, by up to half an ulp of ``cx_k``,
+    * The computed ``sq`` is a rounded sum of two computed squares, so it is
+      at least 0, and every pair of an event with ``reach_k <= 0`` fails.
+      Rounding is monotone, so it is also at least ``fl(da da)``.
+    * A pair that passes therefore has ``fl(da da) < reach_k``, so ``|da| <
+      sqrt(reach_k) (1 + u)`` for the unit roundoff u, and ``|ca_k - pa| <=
+      |da| / (1 - u)`` for the computed ``da``.  The computed ``half_k`` is
+      within a few ulps of its exact value, and ``_SLAB_PAD`` exceeds all of
+      these terms together.  So ``ca_k - half_k <= pa <= ca_k + half_k``
+      holds exactly for the computed ``half_k``.
+    * The slab ends are rounded too, by up to half an ulp of ``ca_k``,
       which is far more than ``half_k`` at large coordinates.  But rounding
-      to nearest is monotone and x is a double, so ``fl(cx_k - half_k) <=
-      x <= fl(cx_k + half_k)``, and both ``searchsorted`` bounds include
-      their ends.  The slab therefore needs no padding in ulps of ``cx_k``.
+      to nearest is monotone and ``pa`` is a double, so ``fl(ca_k - half_k)
+      <= pa <= fl(ca_k + half_k)``, and both ``searchsorted`` bounds include
+      their ends.  The slab therefore needs no padding in ulps of ``ca_k``.
 
     Every event is folded at every point instead while the field still has
-    zeros, when the batch has fewer than ``_REACH_MIN_PAIRS`` (event, point)
-    pairs, and when ``r^2 >= _SLAB_MAX_R2``: near so singular a precision the
-    computed ``sq`` can be a percent below q, and a site outside the slab
-    could pass.  Either fold gives the same bytes.  ``current_min`` is
+    zeros, and when the batch has fewer than ``_REACH_MIN_PAIRS`` (event,
+    point) pairs.  Either fold gives the same bytes.  ``current_min`` is
     ``field.min()``, which the caller's stopping test has computed.
     """
     dt = peak_times[:, None] - time_points[None, :]
     tq = inv_s3sq * dt * dt
     with np.errstate(under="ignore"):
-        if (current_min > 0.0 and len(intensities) * field.size >= _REACH_MIN_PAIRS
-                and precision[0, 1] ** 2 < _SLAB_MAX_R2 * precision[0, 0] * precision[1, 1]):
+        if current_min > 0.0 and len(intensities) * field.size >= _REACH_MIN_PAIRS:
             thr = 2.0 * np.log(intensities * peak / current_min) + _REACH_MARGIN
             reach = thr - tq.min(axis=1)
             live = np.flatnonzero(reach > 0.0)
-            sigma_xx = precision[1, 1] / (precision[0, 0] * precision[1, 1]
-                                          - precision[0, 1] * precision[0, 1])
-            # each live event's slab is a run of sites in x order
-            cx, cy = centers[live, 0], centers[live, 1]
-            half = np.sqrt(reach[live] * sigma_xx) * (1.0 + _SLAB_PAD)
-            order = np.argsort(points[:, 0], kind="stable")
-            xs, ys = points[order, 0], points[order, 1]
-            first = np.searchsorted(xs, cx - half, side="left")
-            count = np.searchsorted(xs, cx + half, side="right") - first
+            # each live event's slab is a run of sites in order of a
+            half = np.sqrt(reach[live]) * (1.0 + _SLAB_PAD)
+            order = np.argsort(pa, kind="stable")
+            sa, sb = pa[order], pb[order]
+            first = np.searchsorted(sa, ca[live] - half, side="left")
+            count = np.searchsorted(sa, ca[live] + half, side="right") - first
             pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-            sq = _spatial_quad(precision, np.repeat(cx, count) - xs[pos],
-                               np.repeat(cy, count) - ys[pos])
+            da = np.repeat(ca[live], count) - sa[pos]
+            db = np.repeat(cb[live], count) - sb[pos]
+            sq = da * da + db * db
             keep = sq < np.repeat(reach[live], count)
             event, site = np.repeat(live, count)[keep], order[pos[keep]]
             quad = sq[keep][:, None] + tq[event]
             pair, t = np.nonzero(quad < thr[event][:, None])
             contrib = intensities[event[pair]] * (peak * np.exp(-0.5 * quad[pair, t]))
             folded = field.copy()
-            np.maximum.at(folded, t * len(points) + site[pair], contrib)
+            np.maximum.at(folded, t * len(pa) + site[pair], contrib)
             return folded
-        sq = _spatial_quad(precision, centers[:, 0][:, None] - points[None, :, 0],
-                           centers[:, 1][:, None] - points[None, :, 1])
+        da = ca[:, None] - pa[None, :]
+        db = cb[:, None] - pb[None, :]
+        sq = da * da + db * db
         quad = (sq[:, None, :] + tq[:, :, None]).reshape(len(intensities), -1)
         contrib = intensities[:, None] * (peak * np.exp(-0.5 * quad))
     return np.maximum(field, contrib.max(axis=0))
@@ -315,8 +314,9 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
 
     Row r is drawn from the Philox substream keyed by ``(seed, realization
     r)``, so every row equals the single-realization result however the
-    realizations are grouped into blocks.  The event domain, precision and
-    peak density are computed once per block.
+    realizations are grouped into blocks.  The event domain, the whitened
+    sites ``W (x, y)`` and the peak density are computed once per block, and
+    each batch's event centers are whitened once.
 
     Event intensities are 1/Gamma_j for the arrival times Gamma_j of a
     unit-rate Poisson process, compensated by the volume of the extended
@@ -334,11 +334,12 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
 
     The same bound drives the fold.  Once the field minimum m is positive,
     an event of intensity I can change the grid only inside its reach, the
-    ellipsoid ``quad < 2 log(I * peak_density / m)``.  In a batch of at
-    least 4096 (event, point) pairs, the spatial quadratic form is evaluated
-    only on the sites of each event's x-slab, the x-extent of that
-    ellipsoid, and ``exp`` only inside it, bitwise as a fold at every point
-    (see ``_event_maxima``).  A non-finite value in the block raises
+    ellipsoid ``quad < 2 log(I * peak_density / m)``, a ball in whitened
+    coordinates.  In a batch of at least 4096 (event, point) pairs, the
+    spatial quadratic form is evaluated only on the sites of each event's
+    slab, the extent of that ball along the first whitened coordinate, and
+    ``exp`` only inside it, bitwise as a fold at every point (see
+    ``_event_maxima``).  A non-finite value in the block raises
     ``DomainError``.
     """
     if grid.dimension != 2:
@@ -353,7 +354,8 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
     t_hi = times.max() + params.buffer * s3
     volume = float(np.prod(hi - lo)) * (t_hi - t_lo)
 
-    precision = params.spatial_precision
+    w = params.whitening
+    pa, pb = _whiten(w, points[:, 0], points[:, 1])
     inv_s3sq = 1.0 / params.sigma_time_sq
     peak = params.peak_density
     floor = params.intensity_floor
@@ -388,10 +390,9 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
             stop = (intensities * peak <= current_min) | (intensities < floor)
             cut = int(np.argmax(stop)) if stop.any() else _STORM_BATCH
             if cut > 0:
-                field = _event_maxima(
-                    field, current_min, intensities[:cut], centers[:cut], peak_times[:cut],
-                    points, times, precision, inv_s3sq, peak,
-                )
+                ca, cb = _whiten(w, centers[:cut, 0], centers[:cut, 1])
+                field = _event_maxima(field, current_min, intensities[:cut], ca, cb,
+                                      peak_times[:cut], pa, pb, times, inv_s3sq, peak)
             if stop.any():
                 break
         values[row] = field
@@ -436,12 +437,13 @@ def delta_from_storm(params: StormModelParams, h, u):
     delta(h, u) = h' sigma_space^{-1} h / 4 + u^2 / (4 sigma_time_sq), the
     quadratic expansion that ``equivalent_storm_params`` inverts.  At this
     delta the storm model's bivariate law is ``extremal.bivariate_cdf_hr``.
-    Scalar lags return a Python float.
+    The spatial form is ``a a + b b`` at the whitened lag ``(a, b) = W h``,
+    as the storm fold computes it.  Scalar lags return a Python float.
     """
     h = np.asarray(h, dtype=float)
     if h.shape[-1:] != (2,):
         raise DomainError("h must have a last axis of length 2")
     u = np.asarray(u, dtype=float)
-    quad = _spatial_quad(params.spatial_precision, h[..., 0], h[..., 1])
-    delta = 0.25 * quad + 0.25 * u * u / params.sigma_time_sq
+    a, b = _whiten(params.whitening, h[..., 0], h[..., 1])
+    delta = 0.25 * (a * a + b * b) + 0.25 * u * u / params.sigma_time_sq
     return float(delta) if np.ndim(delta) == 0 else delta

@@ -576,6 +576,15 @@ class TestValidateCommand:
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert rows[1].split(",")[-1] == "1"
 
+    def test_underflowing_sigma_determinant_exits_4(self, tmp_path, monkeypatch):
+        # det(Sigma) = 1e-400 underflows to 0, yet the peak density is finite;
+        # storms this narrow almost never reach a second site, so every cell is
+        # flagged instead of the run dying
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["validate", "-c", str(cfg_path), "--workers", "1",
+                     "--set", "storm.sigma=[[1.0e-200, 0.0], [0.0, 1.0e-200]]"]) == 4
+
     def test_non_finite_storm_value_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(maxstable, "_event_maxima",

@@ -433,6 +433,15 @@ class TestValidationErrors:
         with pytest.raises(DomainError):
             SmoothnessExpansion(2.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: GneitingModel(a=10**400, b=0.03, nu=1.5, gamma=1.0), "a"),
+        (lambda: AnisotropyTransform(10**400, 1.0, 0.0), "a_max"),
+        (lambda: scaling_sequences(SmoothnessExpansion(2.0, 2.0, 1.0, 1.0), 10**400), "n"),
+    ], ids=["gneiting", "anisotropy", "scaling_sequences"])
+    def test_int_beyond_float_range_is_not_finite(self, make, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            make()
+
     def test_bad_gneiting_parameters(self):
         with pytest.raises(DomainError):
             GneitingModel(a=-0.1, b=0.03, nu=1.5, gamma=1.0)

@@ -203,6 +203,12 @@ class TestHuslerReissField:
         assert np.median(peakedness(gumbel)) < 3.0
 
 
+def whitened(params, xy):
+    """Whitened coordinates ``(a, b)`` of the rows of ``xy``, as ``storm_block`` takes them."""
+    xy = np.asarray(xy, dtype=float)
+    return maxstable._whiten(params.whitening, xy[:, 0], xy[:, 1])
+
+
 class TestStormSimulator:
     PARAMS = StormModelParams(np.eye(2), 1.0)
 
@@ -212,9 +218,9 @@ class TestStormSimulator:
         intensities, centers, peak_times = (np.array(c, dtype=float) for c in zip(*events))
         params = cls.PARAMS
         return maxstable._event_maxima(
-            np.zeros(grid.size), 0.0, intensities, centers, peak_times, grid.spatial_points,
-            grid.time_points, params.spatial_precision, 1.0 / params.sigma_time_sq,
-            params.peak_density,
+            np.zeros(grid.size), 0.0, intensities, *whitened(params, centers), peak_times,
+            *whitened(params, grid.spatial_points), grid.time_points,
+            1.0 / params.sigma_time_sq, params.peak_density,
         )
 
     def test_forced_event_peak(self):
@@ -300,6 +306,19 @@ class TestStormSimulator:
         with pytest.raises(NotPositiveDefiniteError):
             StormModelParams(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 
+    @pytest.mark.parametrize("sigma, s3sq, name", [
+        (np.eye(2), 10**400, "sigma_time_sq"),
+        ([[10**400, 0], [0, 1]], 1.0, "sigma_space"),
+    ], ids=["sigma_time_sq", "sigma_space"])
+    def test_int_beyond_float_range_is_not_finite(self, sigma, s3sq, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            StormModelParams(sigma, s3sq)
+
+    def test_peak_density_of_underflowing_determinant(self):
+        # det(Sigma) = 1e-400 is 0 in doubles; W's diagonal is 1e100 twice
+        params = StormModelParams(1e-200 * np.eye(2), 1.0)
+        assert params.peak_density == pytest.approx((2.0 * math.pi) ** -1.5 * 1e200, rel=1e-15)
+
 
 def nan_event_maxima(field, *args):
     """A fold that returns NaN at every point."""
@@ -345,20 +364,16 @@ class TestStormBlock:
             storm_block(params, self.GRIDS["dense"], 3, range(4))
 
 
-def dense_event_maxima(field, current_min, intensities, centers, peak_times, points,
-                       time_points, precision, inv_s3sq, norm_const):
+def dense_event_maxima(field, current_min, intensities, ca, cb, peak_times, pa, pb,
+                       time_points, inv_s3sq, norm_const):
     """Reference fold: every event evaluated at every grid point; ``current_min`` is unused."""
-    coords = np.tile(points, (len(time_points), 1))
-    times = np.repeat(time_points, len(points))
-    dx = centers[:, 0][:, None] - coords[None, :, 0]
-    dy = centers[:, 1][:, None] - coords[None, :, 1]
+    a = np.tile(pa, len(time_points))
+    b = np.tile(pb, len(time_points))
+    times = np.repeat(time_points, len(pa))
+    da = ca[:, None] - a[None, :]
+    db = cb[:, None] - b[None, :]
     dt = peak_times[:, None] - times[None, :]
-    quad = (
-        precision[0, 0] * dx * dx
-        + 2.0 * precision[0, 1] * dx * dy
-        + precision[1, 1] * dy * dy
-        + inv_s3sq * dt * dt
-    )
+    quad = da * da + db * db + inv_s3sq * dt * dt
     with np.errstate(under="ignore"):
         contrib = intensities[:, None] * (norm_const * np.exp(-0.5 * quad))
     return np.maximum(field, contrib.max(axis=0))
@@ -381,8 +396,9 @@ class TestLocalFold:
 
     @staticmethod
     def fold_both(params, field, intensities, centers, peak_times, points, times):
-        args = (field.min(), intensities, centers, peak_times, points, times,
-                params.spatial_precision, 1.0 / params.sigma_time_sq, params.peak_density)
+        args = (field.min(), intensities, *whitened(params, centers), peak_times,
+                *whitened(params, points), times, 1.0 / params.sigma_time_sq,
+                params.peak_density)
         return maxstable._event_maxima(field, *args), dense_event_maxima(field, *args)
 
     @pytest.mark.parametrize("sigma, s3sq", [
@@ -442,8 +458,8 @@ class TestLocalFold:
         # and intensities a fraction of an ulp of reach apart sweep the edge
         # across them.
         params = StormModelParams(np.array([[1.0, 0.6], [0.6, 2.0]]), 1.0)
-        p = params.spatial_precision
-        sigma_xx = p[1, 1] / (p[0, 0] * p[1, 1] - p[0, 1] * p[0, 1])
+        w = params.whitening
+        sigma_xx = w[0, 0] ** -2
         peak = params.peak_density
         cx, cy = shift + 0.25, 0.5
         ulp = float(np.spacing(cx))
@@ -454,7 +470,7 @@ class TestLocalFold:
         offsets = [side * (edge + k * ulp) for side in (-1, 1) for k in range(-3, 4)] + [0.0]
         points = []
         for d in offsets:
-            y = cy - p[0, 1] * d / p[1, 1]  # dy = cy - y = -P01 dx / P11 at dx = -d
+            y = cy - w[1, 0] * d / w[1, 1]  # db = w10 (cx - x) + w11 (cy - y) = 0 at x = cx + d
             points += [(cx + d, y), (cx + d, y + 0.5), (cx + d, y - 0.5)]
         points = np.random.default_rng(64).permutation(np.array(points))
         times = np.array([1.0, 0.0])
@@ -469,14 +485,17 @@ class TestLocalFold:
             local, dense = self.fold_both(params, field, intensity, center, peak_time,
                                           points, times)
             assert local.tobytes() == dense.tobytes()
-            # the slab ends as ``_event_maxima`` computes them
-            half = math.sqrt((2.0 * math.log(intensity[0] * peak / m) + maxstable._REACH_MARGIN)
-                             * sigma_xx) * (1.0 + maxstable._SLAB_PAD)
-            assert (cx + half) - cx != half
+            # the slab ends as ``_event_maxima`` computes them, in the first
+            # whitened coordinate a = w00 x
+            half = math.sqrt(2.0 * math.log(intensity[0] * peak / m)
+                             + maxstable._REACH_MARGIN) * (1.0 + maxstable._SLAB_PAD)
+            ca = cx * w[0, 0]
+            assert (ca + half) - ca != half
             x = points[dense[len(points):] > m, 0]  # time 0.0, the event's peak time
             lows.add(x.min())
             highs.add(x.max())
-            on_rounded_end += int(x.min() == cx - half or x.max() == cx + half)
+            a = x * w[0, 0]
+            on_rounded_end += int(a.min() == ca - half or a.max() == ca + half)
         # the edge crossed a double on each side
         assert len(lows) >= 2 and len(highs) >= 2
         if ulp > 1e-7:
@@ -507,20 +526,29 @@ class TestLocalFold:
         assert dense.tobytes() == field.tobytes()
 
     def test_near_singular_precision(self):
-        # the precision of Sigma = [[1, r], [r, 1]] at r = 1 - 1e-14, where the
-        # computed form at this site is 7.4375 and its exact value 7.5408, so
-        # the site lies outside the event's x-slab yet the dense fold raises it
-        precision = np.array([[50039995859672.18, -50039995859671.68],
-                              [-50039995859671.68, 50039995859672.18]])
-        field = np.array([0.6193479058939575])
-        args = (field.min(), np.array([5.727768995697408e-05]),
-                np.array([[1.8905312130944258, 1.8905197882517828]]),
-                np.array([0.002278310277123108]),
-                np.array([[-0.8553701568836107, -0.8553815859029701]]), np.array([0.0]),
-                precision, 1.0, 449147.3379506689)
-        dense = dense_event_maxima(field, *args)
-        assert dense[0] > field[0]
-        assert maxstable._event_maxima(field, *args).tobytes() == dense.tobytes()
+        # Sigma = [[1, r], [r, 1]] at r = +-(1 - 1e-14), a needle along (1, r)
+        # whose whitening scales offsets across it by about 7e6, so the second
+        # whitened coordinate cancels.  Sites along the needle and up to 1e-7
+        # across it, and intensities that sweep the reach across them.
+        rng = np.random.default_rng(66)
+        cx, cy = 0.3, -0.2
+        d = rng.uniform(-2.0, 2.0, 200)
+        across = rng.choice([0.0, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7], 200)
+        times = np.array([0.0, 0.5])
+        m = 0.37
+        field = np.full(2 * len(d), m)
+        for r in (1.0 - 1e-14, -(1.0 - 1e-14)):
+            params = StormModelParams(np.array([[1.0, r], [r, 1.0]]), 1.0)
+            assert abs(params.whitening[1, 1]) > 7e6
+            points = np.column_stack([cx + d, cy + r * d + across])
+            raised = 0
+            for log_ratio in np.linspace(0.05, 2.0, 40):
+                intensity = np.array([m / params.peak_density * math.exp(log_ratio)])
+                local, dense = self.fold_both(params, field, intensity, np.array([[cx, cy]]),
+                                              np.array([0.0]), points, times)
+                assert local.tobytes() == dense.tobytes()
+                raised += int(np.count_nonzero(dense > field))
+            assert raised > 0
 
     @pytest.mark.parametrize("seed", [20240, 7919, 5])
     def test_realizations_match_dense_reference(self, seed, monkeypatch):
