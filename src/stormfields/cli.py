@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnsupportedModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StormFieldsError, np.linalg.LinAlgError) as exc:
+    except StormFieldsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -2,9 +2,9 @@
 
 A run is described by one YAML file with nested sections; ``--set`` flags
 on the command line override dotted keys.  An override is merged into the
-configuration the same way the file is merged into the defaults, so a
-section override such as ``storm={sigma_time_sq: 2.0}`` or ``grid=null``
-keeps the section's other keys.  Every value is read through a typed
+configuration, so a section override such as ``storm={sigma_time_sq: 2.0}``
+or ``grid=null`` keeps the section's other keys; a null section reads as an
+empty one.  Every value is read through a typed
 reader, so a value of the wrong type is a ``ConfigError`` naming its dotted
 key; a value that a constructor rejects is one naming its section.
 Everything random flows from the mandatory ``seed`` key: a missing seed is
@@ -12,7 +12,10 @@ a configuration error, never an implicit clock-based default.
 
 The schema, with its defaults, is described in README's "Configuration
 schema".  Its source is the key tables below: each row holds one key's
-default and its reader, and ``_DEFAULTS`` is derived from them.
+default and its reader, and is the only place the key is declared.  A key
+that the configuration lacks is written into it with its default as it is
+read, so ``RunConfig.raw``, the echo in every sidecar, holds every key the
+run read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import partial
 from pathlib import Path
 
@@ -47,75 +50,34 @@ from .maxstable import (
 __all__ = ["RunConfig", "SurfacesSpec", "ValidateSpec", "load_config", "parse_config"]
 
 
-@dataclass(frozen=True)
-class SurfacesSpec:
-    h_max: float
-    u_max: float
-    n_h: int
-    n_u: int
-    output: str
-
-
-@dataclass(frozen=True)
-class ValidateSpec:
-    construction: str
-    n: int
-    realizations: int
-    pairs: tuple
-    thresholds: tuple
-    report: str
-
-
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    """A fully validated run: built objects plus the raw mapping they echo."""
-
-    raw: dict
-    seed: int
-    workers: int
-    model: CorrelationModel
-    grid: SpaceTimeGrid
-    construction: str
-    marginal: MarginalKind
-    n: int
-    realizations: int
-    output_dir: str
-    storm: StormModelParams
-    surfaces: SurfacesSpec
-    validate: ValidateSpec
-
-
 def _fail(path, message):
     raise ConfigError(f"{path}: {message}")
-
-
-def _expect_mapping(value, path):
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        _fail(path, "must be a mapping")
-    return value
 
 
 # Marks a key that has no default.
 _REQUIRED = object()
 
 
-def _read(section, keys, path, required="is required"):
-    """Each key of the table ``keys``, read from ``section`` or its default, by its reader.
+def _read(section, keys, path, required="is required", known=()):
+    """Each key of the table ``keys``, read from the mapping ``section`` by its reader.
 
-    A ``_REQUIRED`` key that ``section`` lacks fails with the message ``required``.
+    A key that ``section`` lacks is first written into it as a copy of its
+    default, so ``section`` then holds every key read; a ``_REQUIRED`` one
+    fails with the message ``required`` instead.  Keys of ``known`` may be
+    present besides the table's: another table reads them.
     """
-    section = _expect_mapping(section, path)
-    unknown = sorted(set(section) - set(keys))
+    if not isinstance(section, dict):
+        _fail(path, "must be a mapping")
+    unknown = sorted(set(section) - set(keys) - set(known))
     if unknown:
         _fail(path, f"unknown key(s): {', '.join(unknown)}")
     values = {}
     for key, (default, reader) in keys.items():
-        value = section.get(key, default)
-        if value is _REQUIRED:
-            _fail(f"{path}.{key}", required)
-        values[key] = reader(value, f"{path}.{key}")
+        if key not in section:
+            if default is _REQUIRED:
+                _fail(f"{path}.{key}", required)
+            section[key] = copy.deepcopy(default)
+        values[key] = reader(section[key], f"{path}.{key}")
     return values
 
 
@@ -295,15 +257,37 @@ _SECTIONS = {
     },
 }
 
-_DEFAULTS = {"workers": _TOP_LEVEL["workers"][0],
-             **{name: {key: default for key, (default, _) in keys.items()}
-                for name, keys in _SECTIONS.items()}}
+# The plain specs of two sections, one field per key of their tables.  The
+# module is set so that pickle finds the classes.
+SurfacesSpec, ValidateSpec = (
+    make_dataclass(f"{name.title()}Spec", _SECTIONS[name], frozen=True,
+                   namespace={"__module__": __name__})
+    for name in ("surfaces", "validate"))
+
+
+@dataclass(frozen=True, eq=False)
+class RunConfig:
+    """A fully validated run: built objects plus the raw mapping they echo."""
+
+    raw: dict
+    seed: int
+    workers: int
+    model: CorrelationModel
+    grid: SpaceTimeGrid
+    construction: str
+    marginal: MarginalKind
+    n: int
+    realizations: int
+    output_dir: str
+    storm: StormModelParams
+    surfaces: SurfacesSpec
+    validate: ValidateSpec
 
 
 def _merge(base, override):
     out = copy.deepcopy(base)
     for key, value in override.items():
-        # a null section over a mapping default keeps the defaults, like an empty one
+        # a null section over a mapping keeps that mapping, like an empty one
         if isinstance(out.get(key), dict) and (value is None or isinstance(value, dict)):
             out[key] = _merge(out[key], value or {})
         else:
@@ -334,14 +318,14 @@ def _override(item):
 
 
 def _build_model(section) -> CorrelationModel:
-    section = dict(_expect_mapping(section, "model"))
-    anisotropy = section.pop("anisotropy", None)
-    family = _read({"family": section.pop("family")}, _SECTIONS["model"], "model")["family"]
+    # the family, read first, decides the table of the other keys
+    family = _read(section, _SECTIONS["model"], "model", known=section)["family"]
     cls, keys = _FAMILIES[family]
-    values = _read(section, keys, "model", f"is required for the {family} family")
-    model = cls(**values)
-    if anisotropy is not None:
-        model = AnisotropicModel(base=model, transform=_anisotropy(anisotropy, "model.anisotropy"))
+    model = cls(**_read(section, keys, "model", f"is required for the {family} family",
+                        known=("family", "anisotropy")))
+    if section.get("anisotropy") is not None:
+        transform = _anisotropy(section["anisotropy"], "model.anisotropy")
+        model = AnisotropicModel(base=model, transform=transform)
     return model
 
 
@@ -369,13 +353,15 @@ def parse_config(mapping, overrides=()) -> RunConfig:
     """Validate a raw configuration mapping into a RunConfig."""
     if not isinstance(mapping, dict):
         raise ConfigError("configuration must be a mapping")
-    merged = _merge(_DEFAULTS, mapping)
-    for item in overrides:
-        merged = _merge(merged, _override(item))
+    # every section starts as a mapping, so a null one reads as an empty one
+    merged = {name: {} for name in _SECTIONS}
+    for layer in (mapping, *map(_override, overrides)):
+        merged = _merge(merged, layer)
 
-    top_level = _read({key: value for key, value in merged.items() if key not in _SECTIONS},
-                      _TOP_LEVEL, "config",
+    top = {key: value for key, value in merged.items() if key not in _SECTIONS}
+    top_level = _read(top, _TOP_LEVEL, "config",
                       "a master seed is required; implicit seeding is not allowed")
+    merged.update(top)
 
     def read(name):
         return _read(merged[name], _SECTIONS[name], name)

@@ -26,7 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .covmodels import CorrelationModel, SmoothnessExpansion, _finite, _positive, scaling_sequences
+from .covmodels import (AnisotropyTransform, CorrelationModel, SmoothnessExpansion, _finite,
+                        _positive, scaling_sequences)
 from .errors import DomainError, NotPositiveDefiniteError, UnsupportedModelError
 from .gaussfield import (
     CholeskyFactor,
@@ -408,7 +409,11 @@ def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,
     Requires alpha_space = alpha_time = 2 and no componentwise weights; then
     sigma_space = (A'A)^{-1}/(4*C1) and sigma_time_sq = 1/(4*C2) reproduce the
     limit function delta(h, u) = C1*||A h||^2 + C2*u^2 exactly, where A is the
-    expansion's anisotropy (sigma_space = I/(4*C1) without one).
+    expansion's anisotropy (sigma_space = I/(4*C1) without one).  For
+    A = diag(1/a_max, 1/a_min) R, with R the rotation by the angle (c, s) =
+    (cos, sin), (A'A)^{-1} = R' diag(a_max^2, a_min^2) R, written entry by
+    entry, so sigma_space is symmetric by construction; an entry beyond
+    float range is not finite, which ``StormModelParams`` rejects.
     """
     if expansion.spatial_weights is not None:
         raise UnsupportedModelError(
@@ -421,8 +426,14 @@ def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,
         )
     if expansion.c_space <= 0.0 or expansion.c_time <= 0.0:
         raise UnsupportedModelError("both expansion constants must be positive")
-    aniso = expansion.anisotropy
-    sigma = np.eye(2) if aniso is None else np.linalg.inv(aniso.matrix.T @ aniso.matrix)
+    # the identity transform gives exactly I; Python floats overflow to inf
+    # (or nan) without a warning
+    aniso = expansion.anisotropy or AnisotropyTransform(1.0, 1.0, 0.0)
+    c, s = math.cos(aniso.angle), math.sin(aniso.angle)
+    major, minor = aniso.a_max * aniso.a_max, aniso.a_min * aniso.a_min
+    cross = (major - minor) * c * s
+    sigma = np.array([[major * c * c + minor * s * s, cross],
+                      [cross, major * s * s + minor * c * c]])
     return StormModelParams(
         sigma_space=sigma / (4.0 * expansion.c_space),
         sigma_time_sq=1.0 / (4.0 * expansion.c_time),

@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import pickle
 import re
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -81,6 +83,25 @@ class TestConfigParsing:
         assert parse_config({"seed": 1, section: None}).raw == parse_config({"seed": 1}).raw
         # a null section override merges like a null section in the file
         assert parse_config({"seed": 1}, [f"{section}=null"]).raw == parse_config({"seed": 1}).raw
+
+    def test_echo_holds_every_key_read(self):
+        raw = parse_config({"seed": 1}).raw
+        assert raw["workers"] == 1
+        gneiting = {key: default for key, (default, _) in config._FAMILIES["gneiting"][1].items()}
+        assert raw["model"] == {"family": "gneiting", **gneiting}
+        # an anisotropy and a validate pair are completed in place as well
+        raw = parse_config({"seed": 1, "model": {"anisotropy": {"a_max": 2.0}},
+                            "validate": {"pairs": [{"h": [1.0, 0.0]}]}}).raw
+        assert raw["model"]["anisotropy"] == {"a_max": 2.0, "a_min": 1.0, "angle_deg": 45.0}
+        assert raw["validate"]["pairs"] == [{"h": [1.0, 0.0], "u": 0.0}]
+        # the echo is a complete config: read again, it echoes itself
+        assert parse_config(raw).raw == raw
+
+    def test_specs_pickle(self):
+        cfg = parse_config({"seed": 1})
+        for spec in (cfg.surfaces, cfg.validate):
+            assert type(spec).__module__ == "stormfields.config"
+            assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -235,6 +256,7 @@ class TestConfigParsing:
         ({"model": {**MA_MIXTURE, "spatial_scale": "x"}}, "model.spatial_scale"),
         ({"model": {"anisotropy": {"angle_deg": "x"}}}, "model.anisotropy.angle_deg"),
         ({"workers": "x"}, "workers"),
+        ({"validate": {"pairs": [None]}}, "validate.pairs[0]"),
     ])
     def test_wrong_type_names_its_key(self, mapping, key):
         with pytest.raises(ConfigError, match=re.escape(f"{key}: must be")):
@@ -488,6 +510,21 @@ class TestSurfacesCommand:
         assert along[0, 3] > across[0, 3]
         assert along[0, 2] > across[0, 2]
 
+    @pytest.mark.parametrize("anisotropy", ["{a_max: 1.0e160, a_min: 1.0}",
+                                            "{a_max: 1.0e200, a_min: 1.0e-200}"],
+                             ids=["1e160", "1e200"])
+    def test_storm_from_extreme_anisotropy_is_a_config_error(self, tmp_path, monkeypatch,
+                                                             capsys, anisotropy):
+        # Sigma's entries overflow to inf: a config error, and no warning
+        monkeypatch.chdir(tmp_path)
+        example = Path(__file__).parents[1] / "configs" / "example_anisotropic.yaml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["surfaces", "-c", str(example), "--set", "storm.from_model=true",
+                         "--set", f"model.anisotropy={anisotropy}",
+                         "--set", "surfaces.output=s.csv"]) == 2
+        assert capsys.readouterr().err.startswith("config error: storm:")
+
     def test_anisotropic_model_decides_the_grid(self, tmp_path, monkeypatch):
         # no surfaces keys: the model alone makes it an (h1, h2) surface
         monkeypatch.chdir(tmp_path)
@@ -557,6 +594,8 @@ class TestValidateCommand:
         cells = rows[1].split(",")
         assert abs(float(cells[6]) - float(cells[7])) <= 0.06
         sidecar = json.loads((tmp_path / "report.json").read_text())
+        # the echo names the parameters that built the factor, defaults included
+        assert {"a", "b", "nu", "gamma"} <= set(sidecar["config"]["model"])
         grid, _ = _measurement_grid((((1.0, 0.0), 1.0),))
         assert 0 < sidecar["factor_rank"] <= grid.size
         assert sidecar["factor_residual"] <= gaussfield.RANK_TOLERANCE

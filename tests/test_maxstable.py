@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from stormfields import (
+    AnisotropyTransform,
     GneitingModel,
     MarginalKind,
     SpaceTimeGrid,
@@ -575,13 +576,16 @@ class TestEquivalentStormParams:
         assert abs(params.sigma_time_sq - 8.3333) < 1e-4
 
     def test_delta_roundtrip(self):
-        expansion = SmoothnessExpansion(2.0, 2.0, 0.045, 0.03)
-        params = equivalent_storm_params(expansion)
         # one row (h1, h2, u) per lag
         lags = np.random.default_rng(10).uniform(-5.0, 5.0, size=(100, 3))
-        direct = delta_values(expansion, lags[:, :2], lags[:, 2])
-        via_storm = delta_from_storm(params, lags[:, :2], lags[:, 2])
-        assert via_storm == pytest.approx(direct, rel=1e-12, abs=1e-15)
+        # isotropic, the catalogue's 3:1 at 45 degrees and 100:1 at 30 degrees
+        for anisotropy in (None, AnisotropyTransform(3.0, 1.0, math.radians(45.0)),
+                           AnisotropyTransform(100.0, 1.0, math.radians(30.0))):
+            expansion = SmoothnessExpansion(2.0, 2.0, 0.045, 0.03, anisotropy=anisotropy)
+            params = equivalent_storm_params(expansion)
+            direct = delta_values(expansion, lags[:, :2], lags[:, 2])
+            via_storm = delta_from_storm(params, lags[:, :2], lags[:, 2])
+            assert via_storm == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     def test_non_quadratic_rejected(self):
         with pytest.raises(UnsupportedModelError):
