@@ -1,10 +1,13 @@
 """Configuration handling, CLI subcommands, file formats and determinism."""
 
+import concurrent.futures
 import json
 import math
 import os
 import pickle
 import re
+import subprocess
+import sys
 import warnings
 from functools import partial
 from pathlib import Path
@@ -892,7 +895,7 @@ def test_map_blocks_caps_pool_at_cpu_count(monkeypatch):
         def map(self, func, iterable):
             return map(func, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_WORKER_BLOCK", None)
     for cpus, processes in [(3, 3), (None, 1), (64, 40)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -921,10 +924,28 @@ def test_one_cpu_runs_without_a_pool(tmp_path, monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["validate", "-c", str(cfg_path), "--workers", "2",
                  "--set", "validate.report=r2.csv"]) == serial
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+def test_one_worker_loads_no_process_pool(tmp_path):
+    # a command that runs in one process never imports the pool machinery
+    cfg = dict(BASE_CONFIG)
+    cfg["simulate"] = dict(BASE_CONFIG["simulate"], construction="storm")
+    cfg_path = write_config(tmp_path, cfg)
+    script = ("import sys; from stormfields.cli import main; code = main(sys.argv[1:]); "
+              "sys.exit(code or 10 * ('concurrent.futures.process' in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", script, "simulate", "-c", str(cfg_path),
+                             "--workers", "1"], cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "field_0000.csv", "field_0000.json", "field_0001.csv", "field_0001.json"]
 
 
 def test_version_flag(capsys):

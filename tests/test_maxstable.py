@@ -551,6 +551,35 @@ class TestLocalFold:
                 raised += int(np.count_nonzero(dense > field))
             assert raised > 0
 
+    @pytest.mark.parametrize("grid, min_pairs", [
+        ("fifty", None),  # 200 points: chunks of 20, 20, 20 and 4 events
+        ("fifty", 1),  # one event per chunk
+        ("six", None),  # 384 pairs: one chunk
+    ])
+    def test_dense_chunks_match_reference(self, grid, min_pairs, monkeypatch):
+        # a zero field takes the dense fold whatever the fold choice
+        if min_pairs is not None:
+            monkeypatch.setattr(maxstable, "_REACH_MIN_PAIRS", min_pairs)
+        points, times = {"fifty": (self.POINTS, self.TIMES),
+                         "six": (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+                                 np.array([0.0, 1.0]))}[grid]
+        params = StormModelParams(np.array([[1.0, 0.6], [0.6, 2.0]]), 1.0)
+        rng = np.random.default_rng(68)
+        intensities = np.sort(rng.uniform(1.0, 3.0, 64))[::-1]
+        centers = rng.uniform(points.min(axis=0) - 1.0, points.max(axis=0) + 1.0, size=(64, 2))
+        peak_times = rng.uniform(times.min() - 1.0, times.max() + 1.0, 64)
+        field = np.zeros(len(points) * len(times))
+        local, dense = self.fold_both(params, field, intensities, centers, peak_times,
+                                      points, times)
+        assert local.tobytes() == dense.tobytes()
+        alone = [self.fold_both(params, field, intensities[k:k + 1], centers[k:k + 1],
+                                peak_times[k:k + 1], points, times)[1] for k in range(64)]
+        winners = np.argmax(alone, axis=0)
+        assert len(set(winners)) > 1
+        if grid == "fifty":
+            # the events that set the maximum lie in every chunk of 20
+            assert set(winners // 20) == {0, 1, 2, 3}
+
     @pytest.mark.parametrize("seed", [20240, 7919, 5])
     def test_realizations_match_dense_reference(self, seed, monkeypatch):
         params = StormModelParams(np.eye(2), 1.0)
@@ -564,6 +593,43 @@ class TestLocalFold:
         dense = storm_block(params, grid, seed, [0])
         for values in local.values():
             assert values.tobytes() == dense.tobytes()
+
+
+class TestFoldMemory:
+    """The dense fold holds a few chunks of values, not several (events, N) arrays."""
+
+    PARAMS = StormModelParams(np.eye(2), 1.0)
+    # 30 x 30 x 4: N = 3600, so one (64, N) float64 array is 1.8 MB
+    GRID = SpaceTimeGrid.regular(shape=(30, 30), times=(0.0, 1.0, 2.0, 3.0))
+
+    @staticmethod
+    def traced_peak(func, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = func(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak - start
+
+    def test_dense_batch(self):
+        points, times = self.GRID.spatial_points, self.GRID.time_points
+        rng = np.random.default_rng(69)
+        intensities = np.sort(rng.uniform(1.0, 50.0, 64))[::-1]
+        centers = rng.uniform(-4.0, 33.0, size=(64, 2))
+        peak_times = rng.uniform(-4.0, 7.0, 64)
+        args = (np.zeros(self.GRID.size), 0.0, intensities, *whitened(self.PARAMS, centers),
+                peak_times, *whitened(self.PARAMS, points), times,
+                1.0 / self.PARAMS.sigma_time_sq, self.PARAMS.peak_density)
+        folded, peak = self.traced_peak(maxstable._event_maxima, *args)
+        assert np.count_nonzero(folded) > 0
+        assert peak <= 0.5e6
+
+    def test_one_realization(self):
+        values, peak = self.traced_peak(storm_block, self.PARAMS, self.GRID, 20240, [0])
+        assert np.all(values > 0.0)
+        assert peak <= 3e6
 
 
 class TestEquivalentStormParams:
