@@ -12,7 +12,8 @@ The package has three layers:
 
 ``__all__`` lists what the command line, its configuration loader, the
 README's quick tour and the acceptance criteria use.  Everything else each
-layer offers stays in that layer module's own ``__all__``.
+layer offers stays in that layer module's own ``__all__``, as do the fixed
+approximations ``gaussfield.RANK_TOLERANCE`` and ``maxstable.INTENSITY_FLOOR``.
 """
 
 from .covmodels import (
@@ -38,7 +39,6 @@ from .errors import (
 from .extremal import bivariate_cdf_hr, exponent_measure, pickands, tail_dependence
 from .gaussfield import SpaceTimeGrid, low_rank_factor
 from .maxstable import (
-    DEFAULT_INTENSITY_FLOOR,
     MarginalKind,
     StormModelParams,
     delta_from_storm,
@@ -63,6 +63,6 @@ __all__ = [
     # gaussfield
     "SpaceTimeGrid", "low_rank_factor",
     # maxstable
-    "DEFAULT_INTENSITY_FLOOR", "MarginalKind", "StormModelParams", "delta_from_storm",
-    "equivalent_storm_params", "husler_reiss_block", "rescaled_factor", "storm_block",
+    "MarginalKind", "StormModelParams", "delta_from_storm", "equivalent_storm_params",
+    "husler_reiss_block", "rescaled_factor", "storm_block",
 ]

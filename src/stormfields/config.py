@@ -15,7 +15,8 @@ schema".  Its source is the key tables below: each row holds one key's
 default and its reader, and is the only place the key is declared.  A key
 that the configuration lacks is written into it with its default as it is
 read, so ``RunConfig.raw``, the echo in every sidecar, holds every key the
-run read.
+run read; under ``storm.from_model``, the derived ``sigma`` and
+``sigma_time_sq``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ from .covmodels import (
 )
 from .errors import ConfigError, StormFieldsError
 from .gaussfield import SpaceTimeGrid
-from .maxstable import (
-    DEFAULT_INTENSITY_FLOOR,
-    MarginalKind,
-    StormModelParams,
-    equivalent_storm_params,
-)
+from .maxstable import MarginalKind, StormModelParams, equivalent_storm_params
 
 __all__ = ["RunConfig", "SurfacesSpec", "ValidateSpec", "load_config", "parse_config"]
 
@@ -238,7 +234,6 @@ _SECTIONS = {
         "sigma": ([[1.0, 0.0], [0.0, 1.0]], _sigma),
         "sigma_time_sq": (1.0, _POSITIVE),
         "buffer": (4.0, partial(_number, minimum=0.0)),
-        "intensity_floor": (DEFAULT_INTENSITY_FLOOR, _POSITIVE),
         "from_model": (False, _flag),
     },
     "surfaces": {  # u_max and n_u only for an isotropic model
@@ -329,10 +324,14 @@ def _build_model(section) -> CorrelationModel:
     return model
 
 
-def _build_storm(storm, model) -> StormModelParams:
+def _build_storm(section, model) -> StormModelParams:
+    # every key is read, so sigma is checked under from_model too; the echo
+    # then records the derived law, so it reruns with from_model false too
+    storm = _read(section, _SECTIONS["storm"], "storm")
     if storm.pop("from_model"):
-        return equivalent_storm_params(model.expansion(), buffer=storm["buffer"],
-                                       intensity_floor=storm["intensity_floor"])
+        law = equivalent_storm_params(model.expansion())
+        storm.update(sigma=law.sigma_space, sigma_time_sq=law.sigma_time_sq)
+        section.update(sigma=law.sigma_space.tolist(), sigma_time_sq=law.sigma_time_sq)
     return StormModelParams(sigma_space=storm.pop("sigma"), **storm)
 
 
@@ -372,7 +371,7 @@ def parse_config(mapping, overrides=()) -> RunConfig:
         **top_level,
         model=model,
         grid=_built("grid", SpaceTimeGrid.regular, **read("grid")),
-        storm=_built("storm", _build_storm, read("storm"), model),
+        storm=_built("storm", _build_storm, merged["storm"], model),
         surfaces=_built("surfaces", SurfacesSpec, **read("surfaces")),
         validate=_built("validate", ValidateSpec, **read("validate")),
         **read("simulate"),

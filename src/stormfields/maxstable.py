@@ -41,7 +41,7 @@ from .streams import FIELD_PURPOSE, STORM_PURPOSE, substream
 __all__ = [
     "MarginalKind",
     "StormModelParams",
-    "DEFAULT_INTENSITY_FLOOR",
+    "INTENSITY_FLOOR",
     "transform_marginal",
     "rescaled_factor",
     "husler_reiss_block",
@@ -55,9 +55,10 @@ __all__ = [
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
 
-# 1e-6 times the median of a standard Frechet variable (the marginal law of
-# both constructions), i.e. 1e-6 / log(2).
-DEFAULT_INTENSITY_FLOOR = 1e-6 / math.log(2.0)
+# Intensity below which ``storm_block`` draws no more events, lowering a value
+# by at most this times the peak kernel density: 1e-6 times the median of a
+# standard Frechet variable (both constructions' marginal law), 1e-6 / log(2).
+INTENSITY_FLOOR = 1e-6 / math.log(2.0)
 
 
 class MarginalKind(str, Enum):
@@ -130,13 +131,12 @@ class StormModelParams:
 
     ``sigma_space`` is the 2x2 SPD covariance of the spatial storm shape and
     ``sigma_time_sq`` the variance of the temporal profile; together they
-    form the block-diagonal covariance of the trivariate Gaussian bump.
-    ``buffer`` extends the event domain beyond the grid's bounding box, in
-    per-axis standard deviations (a bump contributes less than 3.4e-4 of
-    its peak beyond four standard deviations).  ``intensity_floor`` truncates
-    the event series: events with intensity below it are discarded, which
-    can lower grid values by at most ``intensity_floor`` times the peak
-    kernel density.
+    form the block-diagonal covariance of the trivariate Gaussian bump, and
+    fix the simulated law.  ``buffer`` extends the event domain beyond the
+    grid's (x, y, t) bounding box, in per-axis standard deviations (a bump
+    contributes less than 3.4e-4 of its peak beyond four standard
+    deviations).  The event series is truncated at the module's fixed
+    ``INTENSITY_FLOOR``.
 
     ``whitening`` is W = L^-1 for the Cholesky factor L L' = ``sigma_space``,
     lower triangular and read-only: ``h' sigma_space^-1 h = |W h|^2``, so the
@@ -146,7 +146,6 @@ class StormModelParams:
     sigma_space: np.ndarray
     sigma_time_sq: float
     buffer: float = 4.0
-    intensity_floor: float = DEFAULT_INTENSITY_FLOOR
     whitening: np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -174,8 +173,6 @@ class StormModelParams:
         if buffer < 0.0:
             raise DomainError("buffer must be >= 0")
         object.__setattr__(self, "buffer", buffer)
-        object.__setattr__(self, "intensity_floor",
-                           _positive(self.intensity_floor, "intensity_floor"))
 
     @property
     def peak_density(self) -> float:
@@ -344,19 +341,21 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
     sites ``W (x, y)`` and the peak density are computed once per block, and
     each batch's event centers are whitened once.
 
-    Event intensities are 1/Gamma_j for the arrival times Gamma_j of a
-    unit-rate Poisson process, compensated by the volume of the extended
-    event domain (equivalently, intensities volume/Gamma_j); centers and
-    peak times are uniform on the grid's bounding box extended by
-    ``params.buffer`` standard deviations per coordinate.  Generation runs
-    in decreasing intensity order and stops as soon as either
+    The event domain is the grid's (x, y, t) bounding box extended by
+    ``params.buffer`` standard deviations per coordinate; a domain of zero
+    volume raises ``DomainError``.  Event intensities are 1/Gamma_j for the
+    arrival times Gamma_j of a unit-rate Poisson process, compensated by
+    the domain's volume (equivalently, volume/Gamma_j); event centers and
+    peak times are uniform on the domain.  Generation runs in decreasing
+    intensity order and stops as soon as either
 
-    * the next intensity times the peak kernel density cannot exceed the
+    * the next intensity times the peak kernel density is not above the
       current minimum field value (no future event can change the grid;
-      the result is exact), or
-    * the next intensity falls below ``params.intensity_floor`` (remaining
-      events are truncated; each could have contributed at most
-      ``intensity_floor * params.peak_density``).
+      the result is exact; a NaN minimum, as an overflowing volume gives,
+      stops too), or
+    * the next intensity falls below ``INTENSITY_FLOOR`` (remaining events
+      are truncated; each could have contributed at most ``INTENSITY_FLOOR
+      * params.peak_density``).
 
     The same bound drives the fold.  Once the field minimum m is positive,
     an event of intensity I can change the grid only inside its reach, the
@@ -372,19 +371,18 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
         raise DomainError("the storm model is defined on a 2-d spatial domain")
     points, times = grid.spatial_points, grid.time_points
 
-    sds = np.sqrt(np.diag(params.sigma_space))
-    s3 = math.sqrt(params.sigma_time_sq)
-    lo = points.min(axis=0) - params.buffer * sds
-    hi = points.max(axis=0) + params.buffer * sds
-    t_lo = times.min() - params.buffer * s3
-    t_hi = times.max() + params.buffer * s3
-    volume = float(np.prod(hi - lo)) * (t_hi - t_lo)
+    sds = np.sqrt([*np.diag(params.sigma_space), params.sigma_time_sq])
+    lo = np.append(points.min(axis=0), times.min()) - params.buffer * sds
+    hi = np.append(points.max(axis=0), times.max()) + params.buffer * sds
+    volume = float(np.prod(hi - lo))
+    if not volume > 0.0:
+        raise DomainError(f"the storm event domain has zero volume at buffer {params.buffer}: "
+                          "the grid's (x, y, t) bounding box is flat")
 
     w = params.whitening
     pa, pb = _whiten(w, points[:, 0], points[:, 1])
     inv_s3sq = 1.0 / params.sigma_time_sq
     peak = params.peak_density
-    floor = params.intensity_floor
 
     realizations = [int(r) for r in realizations]
     values = np.empty((len(realizations), grid.size))
@@ -405,20 +403,20 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
             arrivals = np.maximum(np.cumsum(gaps), np.finfo(float).tiny)
             arrival_total = float(arrivals[-1])
             intensities = volume / arrivals
-            centers = lo + block[:, 1:3] * (hi - lo)
-            peak_times = t_lo + block[:, 3] * (t_hi - t_lo)
+            # each event's center (x, y) and peak time t
+            events = lo + block[:, 1:] * (hi - lo)
 
             # The stopping test uses the minimum at batch start, which is
             # conservative: any event processed past the exact stopping point
             # cannot exceed the running maximum anywhere, so the field is
-            # unchanged by the overshoot.
+            # unchanged by the overshoot; "not >" also stops at a NaN minimum.
             current_min = field.min()
-            stop = (intensities * peak <= current_min) | (intensities < floor)
+            stop = ~(intensities * peak > current_min) | (intensities < INTENSITY_FLOOR)
             cut = int(np.argmax(stop)) if stop.any() else _STORM_BATCH
             if cut > 0:
-                ca, cb = _whiten(w, centers[:cut, 0], centers[:cut, 1])
+                ca, cb = _whiten(w, events[:cut, 0], events[:cut, 1])
                 field = _event_maxima(field, current_min, intensities[:cut], ca, cb,
-                                      peak_times[:cut], pa, pb, times, inv_s3sq, peak)
+                                      events[:cut, 2], pa, pb, times, inv_s3sq, peak)
             if stop.any():
                 break
         values[row] = field
@@ -427,12 +425,12 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
     return values
 
 
-def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,
-                            intensity_floor: float = DEFAULT_INTENSITY_FLOOR) -> StormModelParams:
+def equivalent_storm_params(expansion: SmoothnessExpansion) -> StormModelParams:
     """Storm parameters whose dependence matches a quadratic expansion.
 
-    Requires alpha_space = alpha_time = 2 and no componentwise weights; then
-    sigma_space = (A'A)^{-1}/(4*C1) and sigma_time_sq = 1/(4*C2) reproduce the
+    The expansion fixes the law alone, so the result has the default
+    ``buffer``.  Requires alpha_space = alpha_time = 2 and no componentwise
+    weights; then sigma_space = (A'A)^{-1}/(4*C1) and sigma_time_sq = 1/(4*C2) reproduce the
     limit function delta(h, u) = C1*||A h||^2 + C2*u^2 exactly, where A is the
     expansion's anisotropy (sigma_space = I/(4*C1) without one).  For
     A = diag(1/a_max, 1/a_min) R, with R the rotation by the angle (c, s) =
@@ -459,12 +457,7 @@ def equivalent_storm_params(expansion: SmoothnessExpansion, buffer: float = 4.0,
     cross = (major - minor) * c * s
     sigma = np.array([[major * c * c + minor * s * s, cross],
                       [cross, major * s * s + minor * c * c]])
-    return StormModelParams(
-        sigma_space=sigma / (4.0 * expansion.c_space),
-        sigma_time_sq=1.0 / (4.0 * expansion.c_time),
-        buffer=buffer,
-        intensity_floor=intensity_floor,
-    )
+    return StormModelParams(sigma / (4.0 * expansion.c_space), 1.0 / (4.0 * expansion.c_time))
 
 
 def delta_from_storm(params: StormModelParams, h, u):

@@ -228,10 +228,10 @@ class TestConfigParsing:
     def test_exponent_float_without_dot(self, tmp_path):
         # YAML 1.1 alone reads 1e-6 as a string; the config reader takes it as a float
         path = tmp_path / "cfg.yaml"
-        path.write_text("seed: 1\nstorm: {intensity_floor: 1e-6}\n", encoding="utf-8")
-        assert load_config(path).storm.intensity_floor == 1e-6
-        cfg = load_config(path, ["storm.intensity_floor=1e-6", "storm.buffer=+2E0"])
-        assert (cfg.storm.intensity_floor, cfg.storm.buffer) == (1e-6, 2.0)
+        path.write_text("seed: 1\nstorm: {buffer: 1e-6}\n", encoding="utf-8")
+        assert load_config(path).storm.buffer == 1e-6
+        cfg = load_config(path, ["storm.sigma_time_sq=1e-6", "storm.buffer=+2E0"])
+        assert (cfg.storm.sigma_time_sq, cfg.storm.buffer) == (1e-6, 2.0)
 
     def test_validate_thresholds_forms(self):
         cfg = parse_config(
@@ -290,6 +290,11 @@ class TestConfigParsing:
         # every storm key is read, also the ones from_model: true replaces
         with pytest.raises(ConfigError, match=re.escape("storm.sigma: must be")):
             parse_config({"seed": 1, "storm": {"from_model": True, "sigma": "x"}})
+
+    def test_intensity_floor_is_not_a_key(self):
+        # the floor is the fixed maxstable.INTENSITY_FLOOR
+        with pytest.raises(ConfigError, match=re.escape("storm: unknown key(s): intensity_floor")):
+            parse_config({"seed": 1, "storm": {"intensity_floor": 1e-6}})
 
     def test_readme_schema_is_the_tables(self):
         # README's schema block is a valid config that names every key of the tables
@@ -352,6 +357,52 @@ class TestSimulateCommand:
         main(["simulate", "-c", str(cfg_path), "--set", "simulate.output_dir=b"])
         for name in ("field_0000.csv", "field_0001.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_from_model_sidecar_echoes_the_storm_that_ran(self, tmp_path, monkeypatch):
+        # the echo holds the derived Sigma and s3^2, so it reruns the same
+        # field without from_model
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE_CONFIG, storm={"from_model": True})
+        cfg["simulate"] = dict(BASE_CONFIG["simulate"], construction="storm")
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["simulate", "-c", str(cfg_path)]) == 0
+        echo = json.loads((tmp_path / "out" / "field_0000.json").read_text())["config"]
+        ran = parse_config(cfg).storm
+        assert echo["storm"]["sigma"] == ran.sigma_space.tolist()
+        assert echo["storm"]["sigma_time_sq"] == ran.sigma_time_sq
+        echo["storm"]["from_model"] = False
+        echo["simulate"]["output_dir"] = "rerun"
+        assert main(["simulate", "-c", str(write_config(tmp_path, echo, "echo.yaml"))]) == 0
+        for name in ("field_0000.csv", "field_0001.csv"):
+            rerun, ran = (tmp_path / "rerun" / name), (tmp_path / "out" / name)
+            assert rerun.read_bytes() == ran.read_bytes()
+
+    def test_overflowing_event_domain_exits_3(self, tmp_path):
+        # the domain's volume overflows to inf, so the field turns NaN, which
+        # ends each realization; a fresh process with a timeout, so that a
+        # run that never stops fails instead of hanging the suite
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run([sys.executable, "-m", "stormfields.cli", "simulate",
+                                 "-c", str(cfg_path), "--set", "simulate.construction=storm",
+                                 "--set", "storm.buffer=1.0e150"], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3, result.stderr
+        assert "field values must be finite" in result.stderr
+
+    def test_flat_event_domain_exits_3(self, tmp_path, monkeypatch, capsys):
+        # one time point and no buffer: the (x, y, t) box has zero volume
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "-c", str(cfg_path), "--set", "simulate.construction=storm",
+                     "--set", "grid.times=[0.0]", "--set", "storm.buffer=0"]) == 3
+        assert "event domain has zero volume" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # validate's sites all lie at y = 0
+        assert main(["validate", "-c", str(cfg_path), "--set", "storm.buffer=0"]) == 3
+        assert "event domain has zero volume" in capsys.readouterr().err
 
     def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -606,8 +657,8 @@ class TestValidateCommand:
     def test_breach_exit_code(self, tmp_path, monkeypatch):
         # a huge intensity floor truncates real mass: empirical CDF inflates
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(maxstable, "INTENSITY_FLOOR", 20.0)
         cfg = dict(BASE_CONFIG)
-        cfg["storm"] = {"intensity_floor": 20.0}
         cfg["validate"] = {
             "realizations": 1000,
             "pairs": [{"h": [1.0, 0.0], "u": 0.0}],
@@ -632,8 +683,8 @@ class TestValidateCommand:
         monkeypatch.setattr(maxstable, "_event_maxima",
                             lambda field, *args: np.full(field.shape, np.nan))
         cfg_path = write_config(tmp_path, BASE_CONFIG)
-        # a floor this high stops every realization after a few dozen events
-        assert main(["validate", "-c", str(cfg_path), "--set", "storm.intensity_floor=20.0"]) == 3
+        # a NaN field minimum stops each realization after its first batch
+        assert main(["validate", "-c", str(cfg_path)]) == 3
         assert "field values must be finite" in capsys.readouterr().err
 
     LINE_MODEL = ["--set", "model.dimension=1", "--set", "grid.shape=[12]"]

@@ -286,15 +286,16 @@ class TestStormSimulator:
         cdf_b = np.searchsorted(rescaled, merged, side="right") / len(rescaled)
         assert np.max(np.abs(cdf_a - cdf_b)) < 0.03
 
-    def test_truncation_soundness(self):
+    def test_truncation_soundness(self, monkeypatch):
         # lowering the intensity floor tenfold moves no grid value by more
         # than floor * peak kernel density
         grid = SpaceTimeGrid.regular(shape=(3, 3), times=(0.0,))
-        coarse = StormModelParams(np.eye(2), 1.0, intensity_floor=2.0)
-        fine = StormModelParams(np.eye(2), 1.0, intensity_floor=0.2)
-        rough = storm_block(coarse, grid, 53, range(30))
-        refined = storm_block(fine, grid, 53, range(30))
-        bound = coarse.intensity_floor * coarse.peak_density
+        params = StormModelParams(np.eye(2), 1.0)
+        monkeypatch.setattr(maxstable, "INTENSITY_FLOOR", 2.0)
+        rough = storm_block(params, grid, 53, range(30))
+        monkeypatch.setattr(maxstable, "INTENSITY_FLOOR", 0.2)
+        refined = storm_block(params, grid, 53, range(30))
+        bound = 2.0 * params.peak_density
         assert np.max(np.abs(refined - rough)) <= bound
         assert np.all(refined >= rough - 1e-15)
 
@@ -358,11 +359,21 @@ class TestStormBlock:
         assert generated.tobytes() == single.tobytes()
 
     def test_non_finite_value_raises(self, monkeypatch):
-        # a floor this high stops every realization after a few dozen events
-        params = StormModelParams(np.eye(2), 1.0, intensity_floor=20.0)
+        # a NaN field minimum stops each realization after its first batch
+        params = StormModelParams(np.eye(2), 1.0)
         monkeypatch.setattr(maxstable, "_event_maxima", nan_event_maxima)
         with pytest.raises(DomainError, match="field values must be finite"):
             storm_block(params, self.GRIDS["dense"], 3, range(4))
+
+    @pytest.mark.parametrize("points, times", [
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.0]),  # one time point
+        ([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [0.0, 1.0]),  # sites on a line
+    ], ids=["flat in t", "flat in y"])
+    def test_zero_volume_event_domain_raises(self, points, times):
+        params = StormModelParams(np.eye(2), 1.0, buffer=0.0)
+        grid = SpaceTimeGrid(np.array(points), np.array(times))
+        with pytest.raises(DomainError, match="event domain has zero volume at buffer 0.0"):
+            storm_block(params, grid, 3, range(2))
 
 
 def dense_event_maxima(field, current_min, intensities, ca, cb, peak_times, pa, pb,
