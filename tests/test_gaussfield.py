@@ -144,6 +144,19 @@ class TestSpaceTimeGrid:
             SpaceTimeGrid(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0]))
         with pytest.raises(DomainError):
             SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array([1.0, 1.0]))
+        # apart in the input, in 1-d and 3-d, and -0.0 against 0.0
+        for sites in ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [[0.0], [1.0], [0.0]],
+                      [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+                      [[-0.0, 1.0], [0.0, 1.0]]):
+            with pytest.raises(DomainError, match="spatial points must be distinct"):
+                SpaceTimeGrid(np.array(sites), np.array([0.0]))
+        for times in ([0.0, 1.0, 0.0], [-0.0, 0.0]):
+            with pytest.raises(DomainError, match="time points must be distinct"):
+                SpaceTimeGrid(np.array([[0.0, 0.0]]), np.array(times))
+        # one ulp apart, or equal in one coordinate only, is distinct
+        ulp = np.nextafter(1.0, 2.0)
+        SpaceTimeGrid(np.array([[1.0, 0.0], [ulp, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                      np.array([1.0, 0.0, ulp]))
 
 
 class TestBuildCovariance:
