@@ -60,6 +60,21 @@ def _positive(value, name):
     return value
 
 
+def _squared_norm(h):
+    """Sum of squares over the last axis of ``h``, coordinate by coordinate.
+
+    It adds the squares in ``np.sum(h * h, axis=-1)``'s order, so for d <= 3
+    the two are bitwise equal, without a reduction over an innermost axis of
+    2 or 3 entries.  A lag beyond float range squares to +inf without a
+    numpy warning, which gives rho 0 and delta +inf.
+    """
+    with np.errstate(over="ignore"):
+        total = h[..., 0] * h[..., 0]
+        for i in range(1, h.shape[-1]):
+            total += h[..., i] * h[..., i]
+    return total
+
+
 @dataclass(frozen=True)
 class SmoothnessExpansion:
     """Small-lag expansion parameters (a1, a2, C1, C2) of a correlation model.
@@ -155,11 +170,15 @@ class GneitingModel(CorrelationModel):
     def rho(self, h, u):
         h = np.asarray(h, dtype=float)
         u = np.abs(np.asarray(u, dtype=float))
-        hsq = np.sum(h * h, axis=-1)
+        hsq = _squared_norm(h)
         psi = (1.0 + self.a * u ** (2.0 * self.beta2)) ** self.gamma
-        return psi ** (-self.dimension / 2.0) * (
-            1.0 + self.b * hsq ** self.beta1 / psi
-        ) ** (-self.nu)
+        # psi^(-d/2) * (1 + b hsq^b1 / psi)^(-nu), the full-shape steps in
+        # place: the same operations, each product with its operands swapped
+        phi = self.b * hsq ** self.beta1 / psi
+        phi += 1.0
+        phi **= -self.nu
+        phi *= psi ** (-self.dimension / 2.0)
+        return phi
 
     def expansion(self) -> SmoothnessExpansion:
         # C1 is the mean of the gamma mixing density behind phi; C2 comes
@@ -229,7 +248,7 @@ class MaMixtureModel(CorrelationModel):
     def rho(self, h, u):
         h = np.asarray(h, dtype=float)
         u = np.abs(np.asarray(u, dtype=float))
-        hnorm = np.sqrt(np.sum(h * h, axis=-1))
+        hnorm = np.sqrt(_squared_norm(h))
         out = 0.0
         for v1, v2, w in self.atoms:
             # asarray: a single lag takes numpy's array power too, which can
@@ -413,7 +432,7 @@ def delta_values(expansion: SmoothnessExpansion, h, u):
             for i, w in enumerate(expansion.spatial_weights)
         )
     else:
-        hsq = np.sum(h * h, axis=-1)
+        hsq = _squared_norm(h)
         spatial = expansion.c_space * hsq ** (expansion.alpha_space / 2.0)
     return spatial + expansion.c_time * u ** expansion.alpha_time
 

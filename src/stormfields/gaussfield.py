@@ -7,7 +7,9 @@ calls the model once, on the rows of C of its b pivot candidates, and it
 stops once every site's residual variance is at most ``RANK_TOLERANCE``.  It
 needs no diagonal shift, because pivoting handles the semidefinite and
 numerically singular matrices of the rescaled-maxima construction natively
-(rank 1,214 of N = 3,600 on a 30 x 30 x 4 grid at n = 100, a 35 MB factor).
+(rank 1,214 of N = 3,600 on a 30 x 30 x 4 grid at n = 100, a 35 MB factor
+built in 0.29-0.35 s in a fresh process with one BLAS thread, about 0.2 s
+of it in the steps' (16 x r) @ (r x N) products).
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ __all__ = [
 RANK_TOLERANCE = 1e-8
 
 # Pivot candidates ``low_rank_factor`` takes per step (b).  On the shrunken
-# 30 x 30 x 4 Gneiting grid (one BLAS thread) 16 gives rank 1,214 in 0.48 s;
-# 8 gives 1,189 in 0.56 s and 32 gives 1,252 in 0.49 s.
+# 30 x 30 x 4 Gneiting grid (one BLAS thread, median of 5 fresh processes)
+# 16 gives rank 1,214 in 0.30 s; 8 gives 1,189 in 0.37 s and 32 gives 1,252
+# in 0.28 s.  Any other b pivots in another order, so it changes every
+# husler_reiss output byte.
 _PIVOT_BLOCK = 16
 
 
@@ -137,6 +141,16 @@ class CholeskyFactor:
         return self.lower.shape[1]
 
 
+def _largest(values: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(-values, kind="stable")[:count]`` without sorting them all:
+    the indices of the ``count`` largest values, ties to the lowest index."""
+    if values.size <= count:
+        return np.argsort(-values, kind="stable")
+    kth = np.partition(values, values.size - count)[values.size - count]
+    candidates = np.flatnonzero(values >= kth)
+    return candidates[np.argsort(-values[candidates], kind="stable")[:count]]
+
+
 def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
                     scale=None) -> CholeskyFactor:
     """Pivoted, rank-revealing Cholesky factor of the model correlation C.
@@ -145,7 +159,8 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
     C - L L', at or below ``RANK_TOLERANCE``; its largest entry is the
     factor's ``residual``.  C is never formed (Harbrecht, Peters & Schneider
     2012, *Appl. Numer. Math.* 62).  Each step takes the ``_PIVOT_BLOCK``
-    sites of largest residual variance, ties to the lowest flat index,
+    sites of largest residual variance, ties to the lowest flat index (by
+    ``np.partition``, then a stable sort of the candidates it leaves),
     evaluates ``model.rho`` once on their N-long rows of C and subtracts the
     factor so far with one matrix product.  It then pivots greedily among
     those residual rows: while the largest tracked variance exceeds the
@@ -159,6 +174,10 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
     Row k of one (capacity, N) buffer holds column k of L; the buffer grows
     in place by ``ndarray.resize``, by an eighth at a time, and is cut to r
     rows at the end, so L is written once and ``lower`` is its transpose.
+    Each column is computed in its row, and every step reuses one lag
+    buffer, built a coordinate at a time, and one product buffer, so a step
+    allocates little beyond what ``rho`` does.  The operands and their
+    order are those of the plain expressions, so the bits are too.
 
     Raises
     ------
@@ -173,23 +192,32 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
         )
     s_scale, t_scale = (1.0, 1.0) if scale is None else (float(scale[0]), float(scale[1]))
     pts, times = grid.spatial_points * s_scale, grid.time_points * t_scale
-    size = grid.size
+    size, block = grid.size, min(_PIVOT_BLOCK, grid.size)
     residual = np.ones(size)  # C has unit diagonal: rho(0, 0) = 1
     rows = np.empty((0, size))
+    # reused by every step: the candidates' spatial lags, as the C-order
+    # (pivot, time, point, axis) array ``rho`` takes, and their rows of the
+    # factor so far times its transpose
+    lags = np.empty((block, 1, grid.n_space, grid.dimension))
+    product = np.empty((block, size))
     rank = 0
     while residual.max() > RANK_TOLERANCE:
-        pivots = np.argsort(-residual, kind="stable")[:_PIVOT_BLOCK]
+        pivots = _largest(residual, block)
         # rows C[p, :] of the candidates, as (pivot, time, point)
         at_time, at_point = np.divmod(pivots, grid.n_space)
-        values = np.asarray(model.rho(pts[None, None, :, :] - pts[at_point, None, None, :],
-                                      np.abs(times[None, :, None] - times[at_time, None, None])),
-                            dtype=float)
+        for axis in range(grid.dimension):
+            np.subtract(pts[:, axis], pts[at_point, axis, None], out=lags[:, 0, :, axis])
+        lags_time = np.abs(times[None, :, None] - times[at_time, None, None])
+        # writeable, since the step subtracts in place
+        values = np.require(model.rho(lags, lags_time), dtype=float, requirements="W")
         if not np.isfinite(values).all():
             raise FactorizationError("the correlation model returned a non-finite value")
-        values = values.reshape(len(pivots), size) - rows[:rank, pivots].T @ rows[:rank]
-        if rank + len(pivots) > len(rows):
+        values = values.reshape(block, size)
+        np.matmul(rows[:rank, pivots].T, rows[:rank], out=product)
+        values -= product
+        if rank + block > len(rows):
             # no view of ``rows`` is alive here, so it may move
-            rows.resize((min(size, max(rank + len(pivots), len(rows) * 9 // 8)), size),
+            rows.resize((min(size, max(rank + block, len(rows) * 9 // 8)), size),
                         refcheck=False)
         start, variances = rank, residual[pivots]
         for _ in pivots:
@@ -197,8 +225,9 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
             if not variances[best] > RANK_TOLERANCE:
                 break
             # ``values`` already lacks the earlier steps' rows; take off this step's
-            rows[rank] = ((values[best] - rows[start:rank, pivots[best]] @ rows[start:rank])
-                          / math.sqrt(variances[best]))
+            np.matmul(rows[start:rank, pivots[best]], rows[start:rank], out=rows[rank])
+            np.subtract(values[best], rows[rank], out=rows[rank])
+            rows[rank] /= math.sqrt(variances[best])
             variances -= rows[rank, pivots] ** 2
             rank += 1
         residual -= np.einsum("ij,ij->j", rows[start:rank], rows[start:rank])
@@ -214,8 +243,28 @@ def low_rank_factor(model: CorrelationModel, grid: SpaceTimeGrid,
 
 def sample_replications(factor: CholeskyFactor, rng: np.random.Generator,
                         count: int) -> np.ndarray:
-    """Draw ``count`` independent replications as rows of a (count, N) array."""
+    """Draw ``count`` independent replications as rows of a (count, N) array.
+
+    The rank x count normals z give the draw (L z)'.  When the grid has at
+    least as many sites as there are replications, it is formed as z' L',
+    which OpenBLAS runs 1.4-2.2x faster for a tall factor (13-14 ms against
+    19-31 ms for 100 draws of the 3,600 x 1,214 factor); otherwise as the
+    transposed view (L z)', whose maximum over replications then runs along
+    rows ``count`` long, not N (6 us against 32 us for 1,000 draws on six
+    sites).  The two orientations are bitwise equal.
+
+    Raises
+    ------
+    DomainError
+        If ``count`` is below 1, or numpy cannot shape or allocate the draw.
+    """
     if count < 1:
         raise DomainError("count must be >= 1")
-    z = rng.standard_normal((factor.rank, count))
+    try:
+        z = rng.standard_normal((factor.rank, count))
+    except (MemoryError, ValueError) as exc:  # too large to allocate, or to shape
+        raise DomainError(f"cannot draw count={count} replications: numpy cannot make their "
+                          f"({factor.rank}, {count}) array of normals") from exc
+    if factor.size >= count:
+        return z.T @ factor.lower.T
     return (factor.lower @ z).T

@@ -121,7 +121,10 @@ def husler_reiss_block(factor: CholeskyFactor, n: int, kind: MarginalKind, seed:
     maxima = np.empty((len(realizations), factor.size))
     for row, realization in enumerate(realizations):
         rng = substream(int(seed), FIELD_PURPOSE, realization)
-        maxima[row] = sample_replications(factor, rng, int(n)).max(axis=0)
+        try:
+            maxima[row] = sample_replications(factor, rng, int(n)).max(axis=0)
+        except DomainError as exc:  # name the key that set the count
+            raise DomainError(f"n={int(n)}: {exc}") from exc
     return transform_marginal(maxima, int(n), kind)
 
 

@@ -394,6 +394,30 @@ class TestSimulateCommand:
         assert "storm event domain's volume overflows at buffer 1e+150" in result.stderr
         assert "Warning" not in result.stderr
 
+    def test_undrawable_n_exits_3(self, tmp_path, monkeypatch, capsys):
+        # 1e17 replications of 4 sites need 2.78 EiB, which no address space
+        # holds, so numpy refuses at once: a named error, also from a pool
+        # worker, not a traceback
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        n = 10**17
+        assert main(["simulate", "-c", str(cfg_path), "--set", f"simulate.n={n}",
+                     "--set", "grid.shape=[2,2]", "--set", "grid.times=[0.0]"]) == 3
+        assert f"n={n}: cannot draw count={n} replications" in capsys.readouterr().err
+        assert main(["validate", "-c", str(cfg_path), "--workers", "2",
+                     "--set", "validate.construction=husler_reiss",
+                     "--set", f"validate.n={n}"]) == 3
+        assert f"n={n}: cannot draw count={n} replications" in capsys.readouterr().err
+
+    def test_far_grid_runs_without_a_warning(self, tmp_path, monkeypatch):
+        # lags of 1e300 square beyond float range: rho is 0 there
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "-c", str(cfg_path), "--set", "grid.spacing=1e300",
+                         "--set", "grid.shape=[3,3]"]) == 0
+
     def test_flat_event_domain_exits_3(self, tmp_path, monkeypatch, capsys):
         # one time point and no buffer: the (x, y, t) box has zero volume
         monkeypatch.chdir(tmp_path)
@@ -617,6 +641,18 @@ class TestSurfacesCommand:
         header, first, *_ = (tmp_path / "surfaces.csv").read_text().splitlines()
         assert header == "hnorm,u,rho,chi"
         assert first == "0.0,0.0,1.0,1.0"
+
+    def test_huge_lags_without_a_warning(self, tmp_path, monkeypatch):
+        # squared lags beyond float range give rho 0 and chi 0, not numpy
+        # overflow warnings from rho and delta
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["surfaces", "-c", str(cfg_path), "--set", "surfaces.h_max=1e300"]) == 0
+        rows = (tmp_path / "surfaces.csv").read_text().splitlines()[1:]
+        last = [float(x) for x in rows[-1].split(",")]
+        assert last[0] == 1e300 and last[2:] == [0.0, 0.0]
 
 
 class TestValidateCommand:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from stormfields import (
     scaling_sequences,
     variogram_to_covariance,
 )
-from stormfields.covmodels import apply_anisotropy
+from stormfields.covmodels import _squared_norm, apply_anisotropy
 from stormfields.errors import DomainError, UnsupportedModelError
 
 
@@ -280,6 +281,31 @@ class TestDelta:
         lags = np.random.default_rng(4).uniform(-5, 5, size=(50, 3))
         away = np.linalg.norm(lags[:, :2], axis=1) + np.abs(lags[:, 2]) > 0
         assert np.all(delta_values(self.EXPANSION, lags[away, :2], lags[away, 2]) > 0.0)
+
+
+class TestSquaredNorm:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_bitwise_equal_to_np_sum(self, dimension):
+        # coordinates of unrelated magnitudes, 1e-150 to 1e150, where the
+        # order of the additions decides the last bit; also the factor's
+        # (pivot, time, point, axis) layout
+        rng = np.random.default_rng(dimension)
+        exponents = rng.integers(-150, 151, size=(4000, dimension))
+        h = rng.uniform(-10.0, 10.0, size=(4000, dimension)) * 10.0 ** exponents
+        for lags in (h, rng.uniform(-3.0, 3.0, size=(16, 1, 90, dimension)), h[0]):
+            expected = np.sum(lags * lags, axis=-1)
+            assert np.asarray(_squared_norm(lags)).tobytes() == np.asarray(expected).tobytes()
+            assert type(_squared_norm(lags)) is type(expected)
+
+    def test_overflowing_lag_is_infinite_without_a_warning(self):
+        h = np.array([[1e200, 0.0], [3.0, 4.0], [1e160, 1e160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(_squared_norm(h), [np.inf, 25.0, np.inf])
+            model = GneitingModel(a=0.03, b=0.03, nu=1.5, gamma=1.0)
+            np.testing.assert_array_equal(model.rho(h, 0.0)[[0, 2]], [0.0, 0.0])
+            delta = delta_values(model.expansion(), h, 0.0)
+            np.testing.assert_array_equal(delta[[0, 2]], [np.inf, np.inf])
 
 
 class TestScalingSequences:

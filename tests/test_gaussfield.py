@@ -19,7 +19,7 @@ from stormfields import (
     scaling_sequences,
 )
 from stormfields.errors import DomainError, FactorizationError
-from stormfields.gaussfield import _PIVOT_BLOCK, RANK_TOLERANCE, sample_replications
+from stormfields.gaussfield import _PIVOT_BLOCK, RANK_TOLERANCE, _largest, sample_replications
 from stormfields.streams import substream
 from dense_oracle import per_block_reference
 
@@ -291,6 +291,99 @@ class TestLowRankFactor:
         z = substream(5, 0, 0).standard_normal((factor.rank, 3))
         assert draws.shape == (3, self.GRID.size)
         assert_array_equal(draws, (factor.lower @ z).T)
+
+
+def reference_factor(model, grid, scale):
+    """``low_rank_factor``'s algorithm in its plain form, its bitwise
+    reference: a full stable argsort picks the candidates, their lags are one
+    broadcast subtraction, and every product and column is a fresh array.
+    Returns (lower, residual)."""
+    s_scale, t_scale = scale
+    pts, times = grid.spatial_points * s_scale, grid.time_points * t_scale
+    size = grid.size
+    residual = np.ones(size)
+    rows = np.empty((0, size))
+    rank = 0
+    while residual.max() > RANK_TOLERANCE:
+        pivots = np.argsort(-residual, kind="stable")[:_PIVOT_BLOCK]
+        at_time, at_point = np.divmod(pivots, grid.n_space)
+        values = np.asarray(model.rho(pts[None, None, :, :] - pts[at_point, None, None, :],
+                                      np.abs(times[None, :, None] - times[at_time, None, None])),
+                            dtype=float)
+        values = values.reshape(len(pivots), size) - rows[:rank, pivots].T @ rows[:rank]
+        if rank + len(pivots) > len(rows):
+            rows.resize((min(size, max(rank + len(pivots), len(rows) * 9 // 8)), size),
+                        refcheck=False)
+        start, variances = rank, residual[pivots]
+        for _ in pivots:
+            best = int(np.argmax(variances))
+            if not variances[best] > RANK_TOLERANCE:
+                break
+            rows[rank] = ((values[best] - rows[start:rank, pivots[best]] @ rows[start:rank])
+                          / math.sqrt(variances[best]))
+            variances -= rows[rank, pivots] ** 2
+            rank += 1
+        residual -= np.einsum("ij,ij->j", rows[start:rank], rows[start:rank])
+    rows.resize((rank, size), refcheck=False)
+    return rows.T, float(residual.max())
+
+
+# (model, grid) pairs of at most 192 sites for the bitwise checks
+SMALL_CASES = {
+    "1d-gneiting": gneiting_in(1, (40,))[:2],
+    "2d-gneiting": (GNEITING, SpaceTimeGrid.regular(shape=(8, 8), times=(0.0, 1.0, 2.0))),
+    "3d-gneiting": gneiting_in(3, (4, 4, 3))[:2],
+    **{name: (CATALOGUE[name], SpaceTimeGrid.regular(shape=(8, 8), times=(0.0, 1.0, 2.0)))
+       for name in ("aniso_gneiting", "ma_mixture", "bernstein")},
+}
+
+
+class TestSameBits:
+    """The factor's partial candidate selection, reused buffers and in-place
+    columns, and the draw's two orientations, give the bits of the plain
+    forms they replace."""
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(1).random(500),
+        np.random.default_rng(2).integers(0, 4, 500).astype(float),  # many ties at the cut
+        np.full(300, 0.25),
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0, 0.0, -1.0, 0.0] * 5),
+        np.arange(7.0),                                               # fewer than count
+        np.random.default_rng(3).random(_PIVOT_BLOCK),                # exactly count
+    ], ids=["random", "ties", "all-equal", "signed-zeros", "short", "count"])
+    def test_largest_is_the_head_of_a_stable_argsort(self, values):
+        expected = np.argsort(-values, kind="stable")[:_PIVOT_BLOCK]
+        assert_array_equal(_largest(values, _PIVOT_BLOCK), expected)
+
+    @pytest.mark.parametrize("n", [3, 100, 1e8])
+    @pytest.mark.parametrize("case", SMALL_CASES)
+    def test_factor_matches_the_reference_loop(self, case, n):
+        model, grid = SMALL_CASES[case]
+        scale = scaling_sequences(model.expansion(), n)
+        factor = low_rank_factor(model, grid, scale)
+        lower, residual = reference_factor(model, grid, scale)
+        assert factor.lower.tobytes() == np.ascontiguousarray(lower).tobytes()
+        assert factor.lower.shape == lower.shape
+        assert factor.residual == residual
+
+    @pytest.mark.parametrize("count", [1, 47, 48, 49, 200])
+    def test_draw_matches_lower_times_normals(self, count):
+        # 48 sites: counts below, at and above the factor's size
+        grid = SpaceTimeGrid.regular(shape=(4, 4), times=(0.0, 1.0, 2.0))
+        factor = low_rank_factor(GNEITING, grid, HR_GRID_SCALE)
+        draws = sample_replications(factor, substream(11, 0, count), count)
+        z = substream(11, 0, count).standard_normal((factor.rank, count))
+        assert draws.shape == (count, grid.size)
+        assert draws.tobytes() == np.ascontiguousarray((factor.lower @ z).T).tobytes()
+
+    def test_undrawable_count_is_a_domain_error(self):
+        # 1e17 replications need exabytes, which no address space holds, so
+        # numpy refuses at once; 1e20 is beyond its largest dimension
+        grid = SpaceTimeGrid.regular(shape=(2, 2), times=(0.0,))
+        factor = low_rank_factor(GNEITING, grid, HR_GRID_SCALE)
+        for count in (10**17, 10**20):
+            with pytest.raises(DomainError, match=f"count={count} replications"):
+                sample_replications(factor, substream(1, 0, 0), count)
 
 
 class TestSampling:
